@@ -3,7 +3,6 @@
 use fbb_lp::deadline::Stopwatch;
 
 use fbb_sta::par;
-use serde::{Deserialize, Serialize};
 
 use crate::{check_timing, CheckState, ClusterSolution, FbbError, Preprocessed};
 
@@ -68,7 +67,7 @@ pub fn pass_one_restricted(pre: &Preprocessed, allowed: &[usize]) -> Option<usiz
 /// * [`DescentPolicy::Literal`] — like `BlockSynchronous` but stops
 ///   outright when the budget is exhausted, exactly as the pseudocode's
 ///   `break` does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DescentPolicy {
     /// Per-row maximal descent under the cluster budget (default).
     #[default]

@@ -4,7 +4,6 @@ use fbb_device::Characterization;
 use fbb_netlist::Netlist;
 use fbb_placement::Placement;
 use fbb_sta::TimingGraph;
-use serde::{Deserialize, Serialize};
 
 use crate::FbbError;
 
@@ -15,7 +14,7 @@ use crate::FbbError;
 /// Kulkarni et al. that §2 argues against on area grounds (adjacent gates in
 /// different clusters need well separation and placement perturbation). The
 /// `granularity` experiment binary reproduces that comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Granularity {
     /// One voltage for the whole block (prior art).
     Block,
@@ -234,7 +233,7 @@ impl<'a> FbbProblem<'a> {
 }
 
 /// One timing constraint: a path of Π whose degraded delay violates `Dcrit`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathConstraint {
     /// Path delay after the β slowdown (`pd · (1 + β)`).
     pub degraded_delay_ps: f64,
@@ -262,7 +261,7 @@ impl PathConstraint {
 }
 
 /// The pre-processed allocation problem the algorithms operate on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Preprocessed {
     /// Number of rows `N`.
     pub n_rows: usize,

@@ -1,12 +1,11 @@
 //! Allocation results.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 use crate::{check_timing, Preprocessed};
 
 /// A row→bias-level assignment with its bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSolution {
     /// Bias-ladder level per row (0 = NBB).
     pub assignment: Vec<usize>,

@@ -51,13 +51,12 @@ use fbb_device::Characterization;
 use fbb_lp::{solve_mip, MipOptions, MipStatus};
 use fbb_netlist::Netlist;
 use fbb_placement::Placement;
-use serde::{Deserialize, Serialize};
 
 use crate::ilp::{decode, encode};
 use crate::{FbbError, FbbProblem, IlpAllocator, Preprocessed, TwoPassHeuristic};
 
 /// The β × C × P grid to sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepGrid {
     /// Slowdown coefficients β, each in `[0, 1]`.
     pub betas: Vec<f64>,
@@ -92,7 +91,7 @@ pub struct SweepOptions {
 /// Outcome class of one grid cell (a faithful copy of the MIP status —
 /// unlike [`IlpOutcome`](crate::IlpOutcome), a sweep distinguishes proven
 /// infeasibility from an exhausted budget).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepStatus {
     /// Proven optimal.
     Optimal,
@@ -105,7 +104,7 @@ pub enum SweepStatus {
 }
 
 /// One solved (or pruned) grid cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepCell {
     /// Slowdown coefficient β of this cell.
     pub beta: f64,
@@ -128,7 +127,7 @@ pub struct SweepCell {
 }
 
 /// Everything a sweep run produced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepReport {
     /// Cells in sweep order (β outer, P middle, C inner-descending).
     pub cells: Vec<SweepCell>,

@@ -1,6 +1,5 @@
 //! Body-bias voltages and the quantized ladder a bias generator can produce.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::DeviceError;
@@ -19,7 +18,7 @@ use crate::DeviceError;
 /// assert!((v.volts() - 0.25).abs() < 1e-12);
 /// assert!(BiasVoltage::ZERO < v);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BiasVoltage(u32);
 
 impl BiasVoltage {
@@ -71,7 +70,7 @@ impl fmt::Display for BiasVoltage {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BiasLadder {
     levels: Vec<BiasVoltage>,
 }

@@ -1,6 +1,5 @@
 //! The reduced standard-cell library of the paper's experimental setup.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -12,7 +11,7 @@ use crate::DeviceError;
 /// consisting of inverters, and, or, nor, nand and D-flip-flops of different
 /// drive strength" (§5). We add buffers and XOR/XNOR, which the arithmetic
 /// generators use; they behave identically under body bias.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CellKind {
     /// Inverter.
     Inv,
@@ -150,7 +149,7 @@ impl FromStr for CellKind {
 }
 
 /// Drive strength variant of a cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum DriveStrength {
     /// Unit drive.
     #[default]
@@ -238,7 +237,7 @@ impl FromStr for DriveStrength {
 /// assert_eq!(c.to_string(), "NAND2_X2");
 /// assert_eq!(c.kind.input_count(), 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cell {
     /// Logic function.
     pub kind: CellKind,

@@ -1,11 +1,9 @@
 //! Nominal cell data and per-bias-level characterization tables.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{BiasLadder, BodyBiasModel, Cell, CellKind, DeviceError, DriveStrength};
 
 /// Nominal (no-body-bias, typical corner) data for one cell kind at X1 drive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellData {
     /// Propagation delay in picoseconds.
     pub delay_ps: f64,
@@ -30,7 +28,7 @@ pub struct CellData {
 /// assert!(lib.nbb_delay_ps(inv4) < lib.nbb_delay_ps(inv));
 /// assert!(lib.nbb_leakage_nw(inv4) > lib.nbb_leakage_nw(inv));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Library {
     base: Vec<CellData>, // indexed by CellKind::index()
 }
@@ -160,7 +158,7 @@ impl Default for Library {
 /// This is the artifact the paper builds in its pre-processing phase:
 /// *"For each of the gates in the library, we characterized its delay
 /// increase and average leakage power for different body bias voltages."*
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Characterization {
     ladder: BiasLadder,
     model: BodyBiasModel,

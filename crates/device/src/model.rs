@@ -1,7 +1,5 @@
 //! The analytic body-bias response model (paper Fig. 1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{BiasVoltage, DeviceError};
 
 /// Analytic model of how forward body bias affects gate delay and leakage.
@@ -21,7 +19,7 @@ use crate::{BiasVoltage, DeviceError};
 /// assert!((m.speedup_fraction(half) - 0.11).abs() < 0.01);
 /// assert!((m.leakage_multiplier(half) - 3.8).abs() < 0.1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BodyBiasModel {
     /// Fractional delay reduction per volt of `vbs` (linear region slope).
     speedup_per_volt: f64,

@@ -9,12 +9,11 @@
 //! scaled". This module models that trade so fast-die recovery experiments
 //! can quantify it.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A reverse body-bias voltage magnitude, quantized to millivolts
 /// (`vbsn = −v`, `vbsp = Vdd + v`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ReverseBiasVoltage(u32);
 
 impl ReverseBiasVoltage {
@@ -57,7 +56,7 @@ impl fmt::Display for ReverseBiasVoltage {
 /// assert!(m.leakage_multiplier(v) < 1.0); // leaks less
 /// assert!(m.delay_factor(v) > 1.0);       // but runs slower
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RbbModel {
     /// Subthreshold attenuation exponent per volt.
     pub subvt_alpha: f64,

@@ -1,16 +1,19 @@
-//! Layer-2 model auditor: presolve-style static checks on a [`Model`].
+//! Layer-2 model auditor: a report-only reading of presolve's analysis.
 //!
 //! [`Model::audit`] inspects a model *without solving it* and reports
 //! structural defects the solver would otherwise only surface as a
-//! confusing `Infeasible`/`Unbounded` verdict deep in phase 1 — or worse,
-//! silently grind through. The split:
+//! confusing `Infeasible`/`Unbounded` verdict deep in phase 1. Row and
+//! column defects come from the tests [`presolve`](mod@crate::presolve)
+//! acts on, run over the model's own bounds; only invalid or inverted
+//! column data, the unbounded free column and coefficient dynamic range
+//! are checked here. The split:
 //!
 //! * **errors** — the model is statically broken: a row no point can
 //!   satisfy given the variable bounds, invalid bounds, a free column that
 //!   makes the objective unbounded. Solving cannot succeed.
-//! * **warnings** — the model solves but is suspicious: vacuous or
-//!   duplicate rows, columns no row touches, fixed columns, coefficient
-//!   dynamic range beyond `1e8` (the dense tableau's reliable precision).
+//! * **warnings** — the model solves but is suspicious: vacuous, redundant
+//!   or duplicate rows, columns no row touches, fixed columns, coefficient
+//!   dynamic range beyond `1e8`.
 //!
 //! `solve_lp`/`solve_mip` run the audit automatically when telemetry is
 //! enabled and publish `audit_model_*` counters; they never change the
@@ -18,13 +21,12 @@
 //! FBB ILP builder in `fbb-core`) call [`Model::audit`] directly and can
 //! fail fast on `errors`.
 
-use std::collections::HashMap;
-
 use crate::model::Sense;
+use crate::presolve::{classify_row, live_terms, scan_columns, Activity, DuplicateRows, RowClass};
 use crate::Model;
 
-/// How bad a defect is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How bad a defect is (errors order first).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// The model cannot be solved meaningfully.
     Error,
@@ -56,10 +58,6 @@ pub struct ModelAudit {
 /// simplex tolerances (`1e-7`/`1e-9`) stop being meaningful when row
 /// coefficients differ by more than ~8 orders of magnitude.
 pub const DYNAMIC_RANGE_LIMIT: f64 = 1e8;
-
-/// Feasibility slack used when comparing row activity bounds against the
-/// rhs; matches the solver's feasibility tolerance.
-const TOL: f64 = 1e-7;
 
 impl ModelAudit {
     /// Defects that make the model unsolvable.
@@ -105,37 +103,18 @@ impl ModelAudit {
         s
     }
 
-    fn push(&mut self, severity: Severity, code: &'static str, index: usize, message: String) {
-        self.defects.push(ModelDefect { severity, code, index, message });
+    fn error(&mut self, code: &'static str, index: usize, message: String) {
+        self.defects.push(ModelDefect { severity: Severity::Error, code, index, message });
+    }
+
+    fn warn(&mut self, code: &'static str, index: usize, message: String) {
+        self.defects.push(ModelDefect { severity: Severity::Warning, code, index, message });
     }
 
     fn finish(mut self) -> Self {
-        self.defects.sort_by_key(|d| {
-            (match d.severity {
-                Severity::Error => 0u8,
-                Severity::Warning => 1,
-            }, d.code, d.index)
-        });
+        self.defects.sort_by_key(|d| (d.severity, d.code, d.index));
         self
     }
-}
-
-/// `[min, max]` of `Σ aᵢxᵢ` over the variable boxes; infinite bounds
-/// propagate as infinities.
-fn activity_range(model: &Model, terms: &[(usize, f64)]) -> (f64, f64) {
-    let mut lo = 0.0;
-    let mut hi = 0.0;
-    for &(v, a) in terms {
-        let (vl, vu) = (model.vars[v].lower, model.vars[v].upper);
-        if a > 0.0 {
-            lo += a * vl;
-            hi += a * vu;
-        } else if a < 0.0 {
-            lo += a * vu;
-            hi += a * vl;
-        }
-    }
-    (lo, hi)
 }
 
 impl Model {
@@ -144,173 +123,82 @@ impl Model {
     /// defect list.
     #[must_use]
     pub fn audit(&self) -> ModelAudit {
+        let lower: Vec<f64> = self.vars.iter().map(|v| v.lower).collect();
+        let upper: Vec<f64> = self.vars.iter().map(|v| v.upper).collect();
         let mut audit = ModelAudit::default();
-        self.audit_columns(&mut audit);
-        self.audit_rows(&mut audit);
+        self.audit_columns(&mut audit, &lower, &upper);
+        self.audit_rows(&mut audit, &lower, &upper);
         self.audit_dynamic_range(&mut audit);
         audit.finish()
     }
 
-    fn audit_columns(&self, audit: &mut ModelAudit) {
-        let mut referenced = vec![false; self.vars.len()];
-        for c in &self.constraints {
-            for &(v, a) in &c.terms {
-                // A zero coefficient does not couple the variable to the row.
-                if crate::approx::is_nonzero(a) {
-                    referenced[v] = true;
-                }
-            }
-        }
+    fn audit_columns(&self, audit: &mut ModelAudit, lower: &[f64], upper: &[f64]) {
+        let no_drops = vec![false; self.constraints.len()];
+        let (fixed, coupled) = scan_columns(self, lower, upper, &no_drops);
         for (j, v) in self.vars.iter().enumerate() {
-            if v.lower.is_nan() || v.upper.is_nan() || !v.objective.is_finite() {
-                audit.push(
-                    Severity::Error,
-                    "invalid_column",
-                    j,
-                    format!(
-                        "column {j} has non-finite data (bounds [{}, {}], objective {})",
-                        v.lower, v.upper, v.objective
-                    ),
+            let (lo, up, obj) = (v.lower, v.upper, v.objective);
+            if lo.is_nan() || up.is_nan() || !obj.is_finite() {
+                let msg = format!(
+                    "column {j} has non-finite data (bounds [{lo}, {up}], objective {obj})"
                 );
-                continue;
-            }
-            if v.lower > v.upper {
-                audit.push(
-                    Severity::Error,
-                    "inverted_bounds",
-                    j,
-                    format!("column {j} bounds are inverted: [{}, {}]", v.lower, v.upper),
-                );
-                continue;
-            }
-            if !referenced[j] {
-                let unbounded = (v.objective < 0.0 && v.upper == f64::INFINITY)
-                    || (v.objective > 0.0 && v.lower == f64::NEG_INFINITY);
-                if unbounded {
-                    audit.push(
-                        Severity::Error,
-                        "unbounded_free_column",
-                        j,
-                        format!(
-                            "column {j} appears in no row and its objective {} can decrease \
-                             without limit",
-                            v.objective
-                        ),
+                audit.error("invalid_column", j, msg);
+            } else if lo > up {
+                let msg = format!("column {j} bounds are inverted: [{lo}, {up}]");
+                audit.error("inverted_bounds", j, msg);
+            } else if !coupled[j] {
+                if (obj < 0.0 && up == f64::INFINITY) || (obj > 0.0 && lo == f64::NEG_INFINITY) {
+                    let msg = format!(
+                        "column {j} appears in no row and its objective {obj} can decrease \
+                         without limit"
                     );
+                    audit.error("unbounded_free_column", j, msg);
                 } else {
-                    audit.push(
-                        Severity::Warning,
-                        "free_column",
-                        j,
-                        format!("column {j} appears in no constraint row"),
-                    );
+                    let msg = format!("column {j} appears in no constraint row");
+                    audit.warn("free_column", j, msg);
                 }
-            } else if crate::approx::near(v.lower, v.upper, 0.0) {
-                audit.push(
-                    Severity::Warning,
-                    "fixed_column",
-                    j,
-                    format!("column {j} is fixed at {} by its bounds", v.lower),
-                );
+            } else if fixed[j] {
+                audit.warn("fixed_column", j, format!("column {j} is fixed at {lo} by its bounds"));
             }
         }
     }
 
-    fn audit_rows(&self, audit: &mut ModelAudit) {
-        // Duplicate detection keys on the exact (terms, sense, rhs) bits;
-        // rows that differ only in term order were already canonicalized by
-        // `add_constraint` when they contained duplicates, so sort a copy.
-        type RowKey = (u8, u64, Vec<(usize, u64)>);
-        let mut seen: HashMap<RowKey, usize> = HashMap::new();
+    fn audit_rows(&self, audit: &mut ModelAudit, lower: &[f64], upper: &[f64]) {
+        let mut duplicates = DuplicateRows::default();
         for (i, c) in self.constraints.iter().enumerate() {
-            let live: Vec<(usize, f64)> = c
-                .terms
-                .iter()
-                .copied()
-                .filter(|&(_, a)| crate::approx::is_nonzero(a))
-                .collect();
+            let live = live_terms(&c.terms);
+            let act = Activity::of(&live, lower, upper);
+            let (lo, hi) = (act.row_lo(), act.row_hi());
+            let class = classify_row(c.sense, c.rhs, lo, hi);
+            let need = || format!("{} {}", sense_str(c.sense), c.rhs);
             if live.is_empty() {
-                let violated = match c.sense {
-                    Sense::Le => 0.0 > c.rhs + TOL,
-                    Sense::Ge => 0.0 < c.rhs - TOL,
-                    Sense::Eq => c.rhs.abs() > TOL,
-                };
-                if violated {
-                    audit.push(
-                        Severity::Error,
-                        "empty_row_infeasible",
-                        i,
-                        format!(
-                            "row {i} has no nonzero coefficients but requires {} {}",
-                            sense_str(c.sense),
-                            c.rhs
-                        ),
-                    );
+                if class == RowClass::Infeasible {
+                    let msg =
+                        format!("row {i} has no nonzero coefficients but requires {}", need());
+                    audit.error("empty_row_infeasible", i, msg);
                 } else {
-                    audit.push(
-                        Severity::Warning,
-                        "empty_row",
-                        i,
-                        format!("row {i} has no nonzero coefficients (vacuously satisfied)"),
-                    );
+                    let msg = format!("row {i} has no nonzero coefficients (vacuously satisfied)");
+                    audit.warn("empty_row", i, msg);
                 }
                 continue;
             }
-
-            let mut key_terms: Vec<(usize, u64)> =
-                live.iter().map(|&(v, a)| (v, a.to_bits())).collect();
-            key_terms.sort_unstable();
-            match seen.entry((c.sense as u8, c.rhs.to_bits(), key_terms)) {
-                std::collections::hash_map::Entry::Occupied(first) => {
-                    audit.push(
-                        Severity::Warning,
-                        "duplicate_row",
-                        i,
-                        format!("row {i} duplicates row {}", first.get()),
-                    );
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(i);
-                }
+            if let Some(first) = duplicates.first_of(i, c.sense, c.rhs, &live) {
+                audit.warn("duplicate_row", i, format!("row {i} duplicates row {first}"));
             }
-
-            let (lo, hi) = activity_range(self, &live);
-            let infeasible = match c.sense {
-                Sense::Le => lo > c.rhs + TOL,
-                Sense::Ge => hi < c.rhs - TOL,
-                Sense::Eq => lo > c.rhs + TOL || hi < c.rhs - TOL,
-            };
-            if infeasible {
-                audit.push(
-                    Severity::Error,
-                    "bound_infeasible_row",
-                    i,
-                    format!(
-                        "row {i} activity range [{lo}, {hi}] cannot satisfy {} {}",
-                        sense_str(c.sense),
-                        c.rhs
-                    ),
-                );
-                continue;
-            }
-            let forced = match c.sense {
-                Sense::Le => hi <= c.rhs + TOL,
-                Sense::Ge => lo >= c.rhs - TOL,
-                // An Eq row is only redundant when the boxes pin it exactly.
-                Sense::Eq => lo >= c.rhs - TOL && hi <= c.rhs + TOL,
-            };
-            if forced {
-                audit.push(
-                    Severity::Warning,
-                    "redundant_row",
-                    i,
-                    format!(
+            match class {
+                RowClass::Infeasible => {
+                    let msg =
+                        format!("row {i} activity range [{lo}, {hi}] cannot satisfy {}", need());
+                    audit.error("bound_infeasible_row", i, msg);
+                }
+                RowClass::Redundant => {
+                    let msg = format!(
                         "row {i} is satisfied by every point in the variable boxes \
-                         (activity range [{lo}, {hi}], requirement {} {})",
-                        sense_str(c.sense),
-                        c.rhs
-                    ),
-                );
+                         (activity range [{lo}, {hi}], requirement {})",
+                        need()
+                    );
+                    audit.warn("redundant_row", i, msg);
+                }
+                RowClass::Active => {}
             }
         }
     }
@@ -337,16 +225,12 @@ impl Model {
             }
         }
         if max_mag > 0.0 && min_mag.is_finite() && max_mag / min_mag > DYNAMIC_RANGE_LIMIT {
-            audit.push(
-                Severity::Warning,
-                "dynamic_range",
-                max_at,
-                format!(
-                    "coefficient magnitudes span [{min_mag:e}, {max_mag:e}] \
-                     (rows {min_at} and {max_at}): ratio exceeds {DYNAMIC_RANGE_LIMIT:e} \
-                     and will erode simplex tolerances"
-                ),
+            let msg = format!(
+                "coefficient magnitudes span [{min_mag:e}, {max_mag:e}] \
+                 (rows {min_at} and {max_at}): ratio exceeds {DYNAMIC_RANGE_LIMIT:e} \
+                 and will erode simplex tolerances"
             );
+            audit.warn("dynamic_range", max_at, msg);
         }
     }
 }

@@ -31,8 +31,6 @@ use std::collections::BinaryHeap;
 use std::rc::Rc;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::branch::Pseudocosts;
 use crate::cuts::{self, Cut, CutKind, StructureHints};
 use crate::model::VarKind;
@@ -105,7 +103,7 @@ impl Default for MipOptions {
 }
 
 /// Outcome class of a MIP solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MipStatus {
     /// Proven optimal incumbent.
     Optimal,
@@ -120,7 +118,7 @@ pub enum MipStatus {
 }
 
 /// Result of a MIP solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MipSolution {
     /// Outcome class.
     pub status: MipStatus,

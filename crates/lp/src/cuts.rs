@@ -36,9 +36,8 @@
 //! hints — the benchmark generators, random difftest models — detection
 //! falls back to a full scan.
 
-use std::collections::HashSet;
-
 use crate::model::{Sense, VarKind};
+use crate::presolve::DuplicateRows;
 use crate::Model;
 
 /// Violation threshold: a cut is only added when the relaxation point
@@ -255,14 +254,10 @@ pub fn ge_cover_is_valid(model: &Model, row: usize, cover: &[usize], cut_rhs: f6
 /// Separates all structure cuts violated by the relaxation point `x`,
 /// deduplicated. Every emitted cover has passed its validity checker.
 pub(crate) fn separate(model: &Model, s: &CutStructure, x: &[f64]) -> Vec<Cut> {
-    /// Dedup key: (sense, rhs bits, sorted (var, coefficient-bits) terms).
-    type CutKey = (u8, u64, Vec<(usize, u64)>);
     let mut cuts: Vec<Cut> = Vec::new();
-    let mut seen: HashSet<CutKey> = HashSet::new();
+    let mut seen = DuplicateRows::default();
     let mut push = |cut: Cut, cuts: &mut Vec<Cut>| {
-        let key_terms: Vec<(usize, u64)> =
-            cut.terms.iter().map(|&(v, a)| (v, a.to_bits())).collect();
-        if seen.insert((cut.sense as u8, cut.rhs.to_bits(), key_terms)) {
+        if seen.first_of(cuts.len(), cut.sense, cut.rhs, &cut.terms).is_none() {
             cuts.push(cut);
         }
     };

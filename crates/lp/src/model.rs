@@ -1,11 +1,9 @@
 //! Model-building API.
 
-use serde::{Deserialize, Serialize};
-
 use crate::LpError;
 
 /// Integrality class of a variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VarKind {
     /// Real-valued within its bounds.
     #[default]
@@ -15,7 +13,7 @@ pub enum VarKind {
 }
 
 /// Constraint sense.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sense {
     /// `terms <= rhs`
     Le,
@@ -25,7 +23,7 @@ pub enum Sense {
     Ge,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Variable {
     pub lower: f64,
     pub upper: f64,
@@ -35,7 +33,7 @@ pub(crate) struct Variable {
     pub priority: i32,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Constraint {
     pub terms: Vec<(usize, f64)>,
     pub sense: Sense,
@@ -69,7 +67,7 @@ pub struct RowView<'a> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Model {
     pub(crate) vars: Vec<Variable>,
     pub(crate) constraints: Vec<Constraint>,

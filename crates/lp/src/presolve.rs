@@ -1,9 +1,13 @@
 //! Transforming presolve with a bit-exact postsolve map (DESIGN.md §5j).
 //!
-//! [`Model::audit`] (PR 5) *detects* fixed columns, redundant/duplicate
-//! rows, and statically infeasible rows but runs observation-only. This
-//! module promotes those detections into reductions that actually shrink
-//! the model handed to branch & bound:
+//! This module owns the crate's one structural analysis of a [`Model`]:
+//! row activity ranges (`Activity`), the infeasible/redundant row
+//! classification (`classify_row`, which on an empty row is also the
+//! empty-row violation test), bit-exact duplicate detection
+//! (`DuplicateRows`) and the referenced/fixed-column scan
+//! (`scan_columns`). [`Model::audit`] reports what these find on the
+//! model as written; presolve acts on them, turning each detection into a
+//! reduction that shrinks the model handed to branch & bound:
 //!
 //! * **column elimination** — columns pinned by their bounds (originally or
 //!   by tightening below) are substituted into every row's right-hand side;
@@ -34,7 +38,7 @@
 //! keeps the LP layer of the differential harness bit-identical by
 //! construction.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use crate::model::{Sense, VarKind};
 use crate::Model;
@@ -154,7 +158,7 @@ impl PostsolveMap {
     }
 
     /// Reduced index of an original row, or `None` if it was dropped.
-    pub(crate) fn reduced_row_of(&self, original: usize) -> Option<usize> {
+    pub fn reduced_row_of(&self, original: usize) -> Option<usize> {
         self.kept_rows.binary_search(&original).ok()
     }
 
@@ -198,7 +202,7 @@ pub enum Presolved {
 /// Per-row activity bookkeeping that stays exact under infinite bounds:
 /// `lo`/`hi` sum only the finite contributions and the counters say how
 /// many contributions were infinite.
-struct Activity {
+pub(crate) struct Activity {
     lo: f64,
     hi: f64,
     inf_lo: usize,
@@ -206,7 +210,9 @@ struct Activity {
 }
 
 impl Activity {
-    fn of(terms: &[(usize, f64)], lower: &[f64], upper: &[f64]) -> Activity {
+    /// Activity of `terms` (nonzero coefficients) over the boxes
+    /// `lower ≤ x ≤ upper`.
+    pub(crate) fn of(terms: &[(usize, f64)], lower: &[f64], upper: &[f64]) -> Activity {
         let mut act = Activity { lo: 0.0, hi: 0.0, inf_lo: 0, inf_hi: 0 };
         for &(v, a) in terms {
             let (clo, chi) = contrib(a, lower[v], upper[v]);
@@ -224,7 +230,8 @@ impl Activity {
         act
     }
 
-    fn row_lo(&self) -> f64 {
+    /// Minimum activity of the row (`-inf` if unbounded below).
+    pub(crate) fn row_lo(&self) -> f64 {
         if self.inf_lo > 0 {
             f64::NEG_INFINITY
         } else {
@@ -232,7 +239,8 @@ impl Activity {
         }
     }
 
-    fn row_hi(&self) -> f64 {
+    /// Maximum activity of the row (`+inf` if unbounded above).
+    pub(crate) fn row_hi(&self) -> f64 {
         if self.inf_hi > 0 {
             f64::INFINITY
         } else {
@@ -268,6 +276,104 @@ fn contrib(a: f64, lo: f64, up: f64) -> (f64, f64) {
     } else {
         (a * up, a * lo)
     }
+}
+
+/// A row's terms without its structurally zero coefficients: a zero
+/// coefficient does not couple the column to the row.
+pub(crate) fn live_terms(terms: &[(usize, f64)]) -> Vec<(usize, f64)> {
+    terms.iter().copied().filter(|&(_, a)| crate::approx::is_nonzero(a)).collect()
+}
+
+/// What a row's activity range `[lo, hi]` over the variable boxes says
+/// about the row. An empty row has activity exactly `[0, 0]`, so the same
+/// test decides whether an empty row is violated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RowClass {
+    /// No point of the boxes satisfies the row, even within [`TOL`].
+    Infeasible,
+    /// Every point of the boxes satisfies the row exactly.
+    Redundant,
+    /// The row constrains the solve.
+    Active,
+}
+
+/// Classifies a row by its activity range. Infeasibility is declared with
+/// [`TOL`] slack; redundancy is exact — no tolerance — because dropping a
+/// row that held merely within `TOL` would admit near-violating points the
+/// untransformed solve rejects.
+pub(crate) fn classify_row(sense: Sense, rhs: f64, lo: f64, hi: f64) -> RowClass {
+    let infeasible = match sense {
+        Sense::Le => lo > rhs + TOL,
+        Sense::Ge => hi < rhs - TOL,
+        Sense::Eq => lo > rhs + TOL || hi < rhs - TOL,
+    };
+    let redundant = match sense {
+        Sense::Le => hi <= rhs,
+        Sense::Ge => lo >= rhs,
+        Sense::Eq => lo >= rhs && hi <= rhs,
+    };
+    if infeasible {
+        RowClass::Infeasible
+    } else if redundant {
+        RowClass::Redundant
+    } else {
+        RowClass::Active
+    }
+}
+
+/// Bit-exact duplicate-row detection: rows are keyed on their sense, rhs
+/// bits and sorted `(column, coefficient bits)` terms, and the first row
+/// seen with a key owns it.
+#[derive(Default)]
+pub(crate) struct DuplicateRows {
+    seen: HashMap<RowKey, usize>,
+}
+
+/// `(sense, rhs bits, sorted (column, coefficient bits))`.
+type RowKey = (u8, u64, Vec<(usize, u64)>);
+
+impl DuplicateRows {
+    /// Records row `i` (live `terms` only); returns the earlier row it
+    /// duplicates, if any.
+    pub(crate) fn first_of(
+        &mut self,
+        i: usize,
+        sense: Sense,
+        rhs: f64,
+        terms: &[(usize, f64)],
+    ) -> Option<usize> {
+        let mut key_terms: Vec<(usize, u64)> =
+            terms.iter().map(|&(v, a)| (v, a.to_bits())).collect();
+        key_terms.sort_unstable();
+        match self.seen.entry((sense as u8, rhs.to_bits(), key_terms)) {
+            Entry::Occupied(first) => Some(*first.get()),
+            Entry::Vacant(slot) => {
+                slot.insert(i);
+                None
+            }
+        }
+    }
+}
+
+/// The referenced/fixed-column scan: per column, whether its bounds pin it
+/// (`lower == upper`) and whether a row not marked `dropped` has a nonzero
+/// coefficient on it — `(fixed, coupled)`.
+pub(crate) fn scan_columns(
+    model: &Model,
+    lower: &[f64],
+    upper: &[f64],
+    dropped: &[bool],
+) -> (Vec<bool>, Vec<bool>) {
+    let fixed = lower.iter().zip(upper).map(|(&l, &u)| crate::approx::near(l, u, 0.0)).collect();
+    let mut coupled = vec![false; model.var_count()];
+    for (c, _) in model.constraints.iter().zip(dropped).filter(|&(_, &d)| !d) {
+        for &(v, a) in &c.terms {
+            if crate::approx::is_nonzero(a) {
+                coupled[v] = true;
+            }
+        }
+    }
+    (fixed, coupled)
 }
 
 /// Runs the fixpoint reduction loop on `model` and builds the reduced
@@ -312,35 +418,17 @@ pub fn presolve(model: &Model) -> Presolved {
             if dropped[i] {
                 continue;
             }
-            let live: Vec<(usize, f64)> = c
-                .terms
-                .iter()
-                .copied()
-                .filter(|&(_, a)| crate::approx::is_nonzero(a))
-                .collect();
+            let live = live_terms(&c.terms);
             let act = Activity::of(&live, &lower, &upper);
-            let (lo, hi) = (act.row_lo(), act.row_hi());
-            let infeasible = match c.sense {
-                Sense::Le => lo > c.rhs + TOL,
-                Sense::Ge => hi < c.rhs - TOL,
-                Sense::Eq => lo > c.rhs + TOL || hi < c.rhs - TOL,
-            };
-            if infeasible {
-                return Presolved::Infeasible;
-            }
-            // Exact redundancy only — no tolerance. Dropping a row that
-            // held merely within `TOL` would admit near-violating points
-            // the untransformed solve rejects.
-            let forced = match c.sense {
-                Sense::Le => hi <= c.rhs,
-                Sense::Ge => lo >= c.rhs,
-                Sense::Eq => lo >= c.rhs && hi <= c.rhs,
-            };
-            if forced {
-                dropped[i] = true;
-                stats.rows_dropped += 1;
-                changed = true;
-                continue;
+            match classify_row(c.sense, c.rhs, act.row_lo(), act.row_hi()) {
+                RowClass::Infeasible => return Presolved::Infeasible,
+                RowClass::Redundant => {
+                    dropped[i] = true;
+                    stats.rows_dropped += 1;
+                    changed = true;
+                    continue;
+                }
+                RowClass::Active => {}
             }
             // Implied-bound propagation onto the row's integer columns.
             // Stale `act` after an in-row update only *weakens* later
@@ -425,19 +513,7 @@ fn build_reduction(
 
     // A column is referenced when a surviving row couples to it with a
     // nonzero coefficient *and* the column is not pinned by its bounds.
-    let fixed: Vec<bool> =
-        (0..n).map(|j| crate::approx::near(lower[j], upper[j], 0.0)).collect();
-    let mut referenced = vec![false; n];
-    for (i, c) in model.constraints.iter().enumerate() {
-        if dropped[i] {
-            continue;
-        }
-        for &(v, a) in &c.terms {
-            if crate::approx::is_nonzero(a) && !fixed[v] {
-                referenced[v] = true;
-            }
-        }
-    }
+    let (fixed, coupled) = scan_columns(model, lower, upper, dropped);
 
     let mut fate = Vec::with_capacity(n);
     let mut kept_cols = Vec::new();
@@ -446,7 +522,7 @@ fn build_reduction(
         let var = &model.vars[j];
         let pin = if fixed[j] {
             Some(lower[j])
-        } else if referenced[j] {
+        } else if coupled[j] {
             None
         } else {
             // Free column: pin it at the bound the objective prefers, but
@@ -500,8 +576,7 @@ fn build_reduction(
         reduced.set_branch_priority(r, var.priority);
     }
 
-    type RowKey = (u8, u64, Vec<(usize, u64)>);
-    let mut seen: HashMap<RowKey, usize> = HashMap::new();
+    let mut duplicates = DuplicateRows::default();
     let mut kept_rows = Vec::new();
     for (i, c) in model.constraints.iter().enumerate() {
         if dropped[i] {
@@ -523,35 +598,18 @@ fn build_reduction(
             // satisfy it *exactly*; a within-tolerance residue keeps the
             // (vacuous) row so the reduced solve sees the same slack the
             // raw solve does.
-            let exact = match c.sense {
-                Sense::Le => 0.0 <= rhs,
-                Sense::Ge => 0.0 >= rhs,
-                Sense::Eq => crate::approx::near(rhs, 0.0, 0.0),
-            };
-            let violated = match c.sense {
-                Sense::Le => 0.0 > rhs + TOL,
-                Sense::Ge => 0.0 < rhs - TOL,
-                Sense::Eq => rhs.abs() > TOL,
-            };
-            if violated {
-                return Presolved::Infeasible;
-            }
-            if exact {
-                stats.rows_dropped += 1;
-                continue;
+            match classify_row(c.sense, rhs, 0.0, 0.0) {
+                RowClass::Infeasible => return Presolved::Infeasible,
+                RowClass::Redundant => {
+                    stats.rows_dropped += 1;
+                    continue;
+                }
+                RowClass::Active => {}
             }
         }
-        let mut key_terms: Vec<(usize, u64)> =
-            terms.iter().map(|&(v, a)| (v, a.to_bits())).collect();
-        key_terms.sort_unstable();
-        match seen.entry((c.sense as u8, rhs.to_bits(), key_terms)) {
-            std::collections::hash_map::Entry::Occupied(_) => {
-                stats.rows_dropped += 1;
-                continue;
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(i);
-            }
+        if duplicates.first_of(i, c.sense, rhs, &terms).is_some() {
+            stats.rows_dropped += 1;
+            continue;
         }
         if reduced.add_constraint(terms, c.sense, rhs).is_err() {
             // Folding finite values into a finite rhs cannot overflow for

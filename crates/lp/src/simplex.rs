@@ -3,20 +3,16 @@
 //! [`solve_lp`]/[`solve_lp_with_bounds`] construct a
 //! [`crate::revised::SparseEngine`] per call and run a cold two-phase
 //! solve; branch-and-bound holds one engine for the whole tree and uses
-//! the warm-start path directly. The previous dense tableau engine lives
-//! on in [`crate::dense`] as the benchmark/reference twin. Shared solver
-//! vocabulary — statuses, tolerances — is defined here so both engines
-//! agree on it by construction.
+//! the warm-start path directly. Shared solver vocabulary — statuses,
+//! tolerances — is defined here.
 
 use std::time::Instant;
-
-use serde::{Deserialize, Serialize};
 
 use crate::revised::SparseEngine;
 use crate::{LpError, Model};
 
 /// Outcome class of an LP solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LpStatus {
     /// An optimal solution was found.
     Optimal,
@@ -30,7 +26,7 @@ pub enum LpStatus {
 }
 
 /// Result of an LP solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LpSolution {
     /// Solve outcome. `x`/`objective` are meaningful only for
     /// [`LpStatus::Optimal`].

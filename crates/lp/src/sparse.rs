@@ -3,8 +3,8 @@
 //! The FBB ILP's columns are extremely sparse — an assignment variable
 //! `x[i][j]` appears in its row's Eq. 3 constraint, the Eq. 4 linking row of
 //! its level, and only the Eq. 2 rows of paths that actually cross row `i`
-//! — so per-column storage is what lets a pivot cost O(fill) instead of the
-//! dense tableau's O(m·n). The matrix is built once per model (columns =
+//! — so per-column storage is what lets a pivot cost O(fill) instead of
+//! a dense tableau's O(m·n). The matrix is built once per model (columns =
 //! structurals, then one slack and one artificial per row) and never mutated
 //! afterwards: the simplex tracks basis changes in the LU/eta factorization
 //! ([`crate::factor`]), not in the matrix.
@@ -64,7 +64,7 @@ impl CscMatrix {
     /// Builds the simplex working matrix `[A | I_slack | I_art]` for a
     /// model: `n` structural columns transposed out of the row-major
     /// constraint storage, then one `+e_k` slack and one `+e_k` artificial
-    /// column per row. Unlike the dense tableau, rows are **not**
+    /// column per row. Unlike a textbook dense tableau, rows are **not**
     /// sign-normalized — the artificial start is made feasible by choosing
     /// each artificial's bounds from the sign of its row residual instead,
     /// which keeps the matrix identical across every branch-and-bound node

@@ -1,13 +1,12 @@
 //! Core netlist data structures.
 
 use fbb_device::Cell;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::NetlistError;
 
 /// Identifier of a gate instance within one [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GateId(pub(crate) u32);
 
 impl GateId {
@@ -34,7 +33,7 @@ impl fmt::Display for GateId {
 }
 
 /// Identifier of a net (signal) within one [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NetId(pub(crate) u32);
 
 impl NetId {
@@ -76,7 +75,7 @@ impl fmt::Display for NetId {
 }
 
 /// A gate instance: one library cell driving one net.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gate {
     /// The library cell implementing this gate.
     pub cell: Cell,
@@ -87,7 +86,7 @@ pub struct Gate {
 }
 
 /// A net: a signal driven by a primary input or exactly one gate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Net {
     /// Net name (unique within the netlist).
     pub name: String,
@@ -105,7 +104,7 @@ pub struct Net {
 /// * every net is driven by exactly one gate or is a primary input;
 /// * gate input arity matches the cell kind;
 /// * the combinational graph (flip-flops removed) is acyclic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     pub(crate) name: String,
     pub(crate) gates: Vec<Gate>,

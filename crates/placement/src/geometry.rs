@@ -1,10 +1,9 @@
 //! Die and row geometry.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a standard-cell row (the paper's clustering unit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowId(pub(crate) u32);
 
 impl RowId {
@@ -33,7 +32,7 @@ impl fmt::Display for RowId {
 /// Physical die description for a row-based standard-cell block.
 ///
 /// Typical 45 nm values: 0.2 µm placement sites, 1.4 µm row height.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Die {
     /// Width of one placement site in micrometres.
     pub site_width_um: f64,

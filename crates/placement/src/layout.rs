@@ -14,12 +14,11 @@
 //!   so at most four lines are routed.
 
 use fbb_device::BiasLadder;
-use serde::{Deserialize, Serialize};
 
 use crate::{Placement, PlacementError};
 
 /// Physical parameters of the FBB layout style.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayoutOptions {
     /// Maximum spacing between body-bias contact cells along a row (µm).
     pub contact_pitch_um: f64,
@@ -53,7 +52,7 @@ impl Default for LayoutOptions {
 }
 
 /// Result of analysing a row→bias assignment against a placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FbbLayout {
     /// Distinct nonzero bias voltages used.
     pub bias_voltages: usize,
@@ -162,7 +161,7 @@ pub fn analyze(
 
 /// Result of analysing a *gate-level* bias assignment (Kulkarni-style
 /// fine-grained clustering, paper §2) against a placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GateLevelLayout {
     /// Distinct nonzero bias voltages used.
     pub bias_voltages: usize,

@@ -1,12 +1,11 @@
 //! The placed-design abstraction consumed by the FBB allocator.
 
 use fbb_netlist::{GateId, Netlist};
-use serde::{Deserialize, Serialize};
 
 use crate::{Die, PlacementError, RowId};
 
 /// Physical data of one placed gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacedGate {
     /// Row containing the gate.
     pub row: RowId,
@@ -17,7 +16,7 @@ pub struct PlacedGate {
 }
 
 /// One standard-cell row with its gates in left-to-right order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Row {
     /// The row id (0 = bottom row).
     pub id: RowId,
@@ -31,7 +30,7 @@ pub struct Row {
 ///
 /// This is the "placed design, which can be abstracted as a set of N rows"
 /// that the paper's clustering algorithms start from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     pub(crate) die: Die,
     pub(crate) rows: Vec<Row>,

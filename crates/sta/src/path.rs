@@ -1,7 +1,6 @@
 //! Materialized timing paths.
 
 use fbb_netlist::GateId;
-use serde::{Deserialize, Serialize};
 
 /// One materialized timing path: an ordered gate chain from a startpoint
 /// (primary input or flip-flop Q) to an endpoint (primary output or
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// [`TimingPath::gates`] and its clk→Q delay is included in
 /// [`TimingPath::delay_ps`] — the flop sits in a row and is sped up by FBB
 /// like any other cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimingPath {
     /// Gates along the path, startpoint first.
     pub gates: Vec<GateId>,

@@ -14,8 +14,6 @@
 //!   — block-based propagation with Clark's moment-matching `max`;
 //! * [`CanonicalDelay::yield_at`] — timing yield at a clock period.
 
-use serde::{Deserialize, Serialize};
-
 use crate::TimingGraph;
 
 /// Standard normal probability density.
@@ -50,7 +48,7 @@ fn cap_phi(x: f64) -> f64 {
 /// assert!(d.yield_at(100.0) > 0.49 && d.yield_at(100.0) < 0.51);
 /// assert!(d.yield_at(120.0) > 0.99);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CanonicalDelay {
     /// Mean delay.
     pub mean: f64,

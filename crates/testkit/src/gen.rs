@@ -26,7 +26,8 @@ pub fn splitmix64(mut z: u64) -> u64 {
 
 /// Row sense of an [`LpInstance`] constraint. Deliberately *not*
 /// [`fbb_lp::Sense`]: the oracle formulation shares no types with the engine
-/// and the conversion happens in exactly one place ([`LpInstance::to_model`]).
+/// and the conversions happen in exactly one place ([`LpInstance::to_model`]
+/// and [`LpInstance::from_model`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowSense {
     /// `Σ a·x ≤ rhs`.
@@ -90,6 +91,32 @@ impl LpInstance {
                 .expect("generated rows reference valid variables with finite data");
         }
         model
+    }
+
+    /// Reads the LP relaxation of an `fbb_lp::Model` (integrality dropped)
+    /// into the neutral form — the inverse of [`LpInstance::to_model`].
+    /// The dense oracle only accepts finite bounds; that is checked when it
+    /// solves, not here.
+    pub fn from_model(model: &Model) -> LpInstance {
+        let n = model.var_count();
+        let (lower, upper) = (0..n).filter_map(|j| model.var_bounds(j)).unzip();
+        LpInstance {
+            objective: (0..n).filter_map(|j| model.var_objective(j)).collect(),
+            lower,
+            upper,
+            rows: model
+                .rows()
+                .map(|row| LpRow {
+                    terms: row.terms.to_vec(),
+                    sense: match row.sense {
+                        Sense::Le => RowSense::Le,
+                        Sense::Eq => RowSense::Eq,
+                        Sense::Ge => RowSense::Ge,
+                    },
+                    rhs: row.rhs,
+                })
+                .collect(),
+        }
     }
 }
 
@@ -315,8 +342,10 @@ mod tests {
                 assert!(inst.lower[j].is_finite() && inst.upper[j].is_finite());
                 assert!(inst.upper[j] >= inst.lower[j]);
             }
-            // The model conversion must accept every generated instance.
+            // The model conversion must accept every generated instance
+            // and round-trip it exactly.
             assert_eq!(inst.to_model().var_count(), inst.var_count());
+            assert_eq!(LpInstance::from_model(&inst.to_model()), inst);
         }
     }
 }

@@ -1,7 +1,5 @@
 //! NBTI transistor-aging model.
 
-use serde::{Deserialize, Serialize};
-
 /// Negative-bias temperature instability: PMOS threshold voltage drifts as a
 /// fractional power of stress time, slowing logic over the product lifetime
 /// (the paper's aging citation, Mitra IRPS'08, predicts failures from this
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(fresh, 1.0);
 /// assert!(worn > 1.03 && worn < 1.15);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NbtiAging {
     /// Vth drift amplitude in millivolts at t = 1 year.
     pub a_mv_per_yearn: f64,

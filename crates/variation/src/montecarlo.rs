@@ -3,7 +3,6 @@
 use fbb_netlist::Netlist;
 use fbb_placement::Placement;
 use fbb_sta::TimingGraph;
-use serde::{Deserialize, Serialize};
 
 use crate::ProcessVariation;
 
@@ -20,7 +19,7 @@ pub struct MonteCarloYield<'a> {
 }
 
 /// Aggregate result of a yield run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct YieldEstimate {
     /// Dies sampled.
     pub samples: usize,

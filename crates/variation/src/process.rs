@@ -2,7 +2,6 @@
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Standard-normal draw via the Box–Muller transform (avoids a `rand_distr`
 /// dependency).
@@ -19,7 +18,7 @@ fn gauss(rng: &mut ChaCha8Rng) -> f64 {
 /// (modelled by bilinear interpolation over a coarse Gaussian grid — nearby
 /// gates see similar shifts, which is what makes *physically clustered*
 /// compensation effective) and an independent **random** component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessVariation {
     /// Sigma of the global (die-to-die) delay shift.
     pub d2d_sigma: f64,
@@ -105,7 +104,7 @@ impl ProcessVariation {
 }
 
 /// One sampled die: per-gate delay multipliers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DieSample {
     /// The global die-to-die shift drawn for this die.
     pub d2d: f64,

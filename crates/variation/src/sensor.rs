@@ -1,14 +1,12 @@
 //! Post-silicon timing sensing.
 
-use serde::{Deserialize, Serialize};
-
 /// A critical-path-replica timing monitor (paper §3.1).
 ///
 /// On silicon, replicas of the critical path (or flip-flop shadow monitors)
 /// flag when signal transitions land beyond a threshold. The controller
 /// converts the observation into a slowdown coefficient β with finite
 /// resolution and adds a guard band so the compensation never undershoots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CriticalPathSensor {
     /// Measurement quantization step for β (e.g. 0.01 = 1 % steps).
     pub resolution: f64,

@@ -111,13 +111,57 @@ fn arg_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-fn load_netlist(path: &str) -> Result<Netlist, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+/// Parses a text netlist read from `path`: `.bench` files use the ISCAS
+/// format, anything else the native one.
+fn parse_netlist(path: &str, text: &str) -> Result<Netlist, String> {
     if path.ends_with(".bench") {
-        bench_fmt::from_bench_str(&text).map_err(|e| format!("{path}: {e}"))
+        bench_fmt::from_bench_str(text)
     } else {
-        nl_fmt::from_str(&text).map_err(|e| format!("{path}: {e}"))
+        nl_fmt::from_str(text)
     }
+    .map_err(|e| format!("{path}: {e}"))
+}
+
+/// Resolves a design spec: a Table 1 name or `adder:W` / `multiplier:W` /
+/// `alu:W`.
+fn resolve_design(spec: &str) -> Result<Netlist, String> {
+    if let Some(nl) = suite::generate(spec) {
+        return Ok(nl);
+    }
+    let Some((kind, w)) = spec.split_once(':') else {
+        return Err(format!(
+            "unknown design {spec}; use a Table 1 name or adder:W / multiplier:W / alu:W"
+        ));
+    };
+    let w: u32 = w.parse().map_err(|_| format!("bad width in {spec}"))?;
+    match kind {
+        "adder" => fbb::netlist::generators::ripple_adder(spec, w, false),
+        "multiplier" => fbb::netlist::generators::array_multiplier(spec, w),
+        "alu" => fbb::netlist::generators::alu(spec, w),
+        other => return Err(format!("unknown generator {other}")),
+    }
+    .map_err(|e| e.to_string())
+}
+
+/// The library characterized over the DATE'09 body-bias model and ladder.
+fn date09_characterization(library: &Library) -> Result<Characterization, String> {
+    let ladder = BiasLadder::date09().map_err(|e| e.to_string())?;
+    Ok(library.characterize(&BodyBiasModel::date09_45nm(), &ladder))
+}
+
+/// The cold pipeline's placement (honouring `--rows`) and characterization
+/// of a text netlist.
+fn place_and_characterize(
+    args: &[String],
+    netlist: &Netlist,
+) -> Result<(Placement, Characterization), String> {
+    let library = Library::date09_45nm();
+    let mut options = PlacerOptions::default();
+    if let Some(rows) = arg_value(args, "--rows").and_then(|v| v.parse().ok()) {
+        options.target_rows = Some(rows);
+    }
+    let placement = Placer::new(options).place(netlist, &library).map_err(|e| e.to_string())?;
+    Ok((placement, date09_characterization(&library)?))
 }
 
 /// A design ready to solve: either built cold from a text netlist (parse →
@@ -164,22 +208,8 @@ fn load_design(args: &[String], path: &str) -> Result<LoadedDesign, CliError> {
     }
     let text =
         String::from_utf8(bytes).map_err(|_| format!("{path}: neither a design database nor text"))?;
-    let netlist = if path.ends_with(".bench") {
-        bench_fmt::from_bench_str(&text).map_err(|e| format!("{path}: {e}"))?
-    } else {
-        nl_fmt::from_str(&text).map_err(|e| format!("{path}: {e}"))?
-    };
-    let library = Library::date09_45nm();
-    let mut options = PlacerOptions::default();
-    if let Some(rows) = arg_value(args, "--rows").and_then(|v| v.parse().ok()) {
-        options.target_rows = Some(rows);
-    }
-    let placement =
-        Placer::new(options).place(&netlist, &library).map_err(|e| e.to_string())?;
-    let chara = library.characterize(
-        &BodyBiasModel::date09_45nm(),
-        &BiasLadder::date09().map_err(|e| e.to_string())?,
-    );
+    let netlist = parse_netlist(path, &text)?;
+    let (placement, chara) = place_and_characterize(args, &netlist)?;
     Ok(LoadedDesign { netlist, placement, chara, db: None })
 }
 
@@ -588,22 +618,7 @@ fn lint_models(args: &[String]) -> Result<(), CliError> {
 
 fn generate(args: &[String]) -> Result<(), String> {
     let design = arg_value(args, "--design").ok_or("missing --design")?;
-    let nl = if let Some(nl) = suite::generate(&design) {
-        nl
-    } else if let Some((kind, w)) = design.split_once(':') {
-        let w: u32 = w.parse().map_err(|_| format!("bad width in {design}"))?;
-        match kind {
-            "adder" => fbb::netlist::generators::ripple_adder(&design, w, false),
-            "multiplier" => fbb::netlist::generators::array_multiplier(&design, w),
-            "alu" => fbb::netlist::generators::alu(&design, w),
-            other => return Err(format!("unknown generator {other}")),
-        }
-        .map_err(|e| e.to_string())?
-    } else {
-        return Err(format!(
-            "unknown design {design}; use a Table 1 name or adder:W / multiplier:W / alu:W"
-        ));
-    };
+    let nl = resolve_design(&design)?;
     eprintln!("{}", nl.stats());
     match arg_value(args, "--out") {
         Some(path) => save_netlist(&nl, &path)?,
@@ -628,16 +643,8 @@ fn sta(args: &[String]) -> Result<(), CliError> {
         (db.netlist.stats(), db.timing.dcrit_ps, db.timing.paths.clone())
     } else {
         let text = String::from_utf8(bytes).map_err(|_| format!("{path}: not a text netlist"))?;
-        let nl = if path.ends_with(".bench") {
-            bench_fmt::from_bench_str(&text).map_err(|e| format!("{path}: {e}"))?
-        } else {
-            nl_fmt::from_str(&text).map_err(|e| format!("{path}: {e}"))?
-        };
-        let library = Library::date09_45nm();
-        let chara = library.characterize(
-            &BodyBiasModel::date09_45nm(),
-            &BiasLadder::date09().map_err(|e| e.to_string())?,
-        );
+        let nl = parse_netlist(&path, &text)?;
+        let chara = date09_characterization(&Library::date09_45nm())?;
         let delays: Vec<f64> = nl.gates().iter().map(|g| chara.delay_ps(g.cell, 0)).collect();
         let graph = TimingGraph::new(&nl).map_err(|e| e.to_string())?;
         let analysis = graph.analyze(&delays);
@@ -674,26 +681,11 @@ fn compile(args: &[String]) -> Result<(), CliError> {
         .or_else(|| arg_value(args, "--out"))
         .ok_or("missing -o FILE.fbb")?;
     let (netlist, source) = if let Some(path) = arg_value(args, "--netlist") {
-        (load_netlist(&path)?, format!("netlist {path}"))
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        (parse_netlist(&path, &text)?, format!("netlist {path}"))
     } else if let Some(name) = arg_value(args, "--design") {
-        let nl = if let Some(nl) = suite::generate(&name) {
-            nl
-        } else if let Some((kind, w)) = name.split_once(':') {
-            let w: u32 = w.parse().map_err(|_| format!("bad width in {name}"))?;
-            match kind {
-                "adder" => fbb::netlist::generators::ripple_adder(&name, w, false),
-                "multiplier" => fbb::netlist::generators::array_multiplier(&name, w),
-                "alu" => fbb::netlist::generators::alu(&name, w),
-                other => return Err(format!("unknown generator {other}").into()),
-            }
-            .map_err(|e| e.to_string())?
-        } else {
-            return Err(format!(
-                "unknown design {name}; use a Table 1 name or adder:W / multiplier:W / alu:W"
-            )
-            .into());
-        };
-        (nl, format!("generated {name}"))
+        (resolve_design(&name)?, format!("generated {name}"))
     } else {
         return Err("missing --design or --netlist".into());
     };
@@ -730,17 +722,7 @@ fn compile(args: &[String]) -> Result<(), CliError> {
     let clusters: usize =
         arg_value(args, "--clusters").and_then(|v| v.parse().ok()).unwrap_or(3);
 
-    let library = Library::date09_45nm();
-    let mut options = PlacerOptions::default();
-    if let Some(rows) = arg_value(args, "--rows").and_then(|v| v.parse().ok()) {
-        options.target_rows = Some(rows);
-    }
-    let placement =
-        Placer::new(options).place(&netlist, &library).map_err(|e| e.to_string())?;
-    let chara = library.characterize(
-        &BodyBiasModel::date09_45nm(),
-        &BiasLadder::date09().map_err(|e| e.to_string())?,
-    );
+    let (placement, chara) = place_and_characterize(args, &netlist)?;
     eprintln!("{}", netlist.stats());
     eprintln!("{}", placement.stats());
 
@@ -1002,10 +984,7 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
         let library = Library::date09_45nm();
         placement = fbb::placement::tile(&composed.netlist, &library, rows)
             .map_err(|e| e.to_string())?;
-        chara = library.characterize(
-            &BodyBiasModel::date09_45nm(),
-            &BiasLadder::date09().map_err(|e| e.to_string())?,
-        );
+        chara = date09_characterization(&library)?;
         netlist = composed.netlist;
     } else if let Some(path) = arg_value(args, "--netlist") {
         let design = load_design(args, &path)?;
@@ -1019,10 +998,7 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
         placement = Placer::new(PlacerOptions::default())
             .place(&nl, &library)
             .map_err(|e| e.to_string())?;
-        chara = library.characterize(
-            &BodyBiasModel::date09_45nm(),
-            &BiasLadder::date09().map_err(|e| e.to_string())?,
-        );
+        chara = date09_characterization(&library)?;
         netlist = nl;
     } else {
         return Err("missing --design, --netlist, or --compose".into());
