@@ -8,7 +8,7 @@
 //! cargo run -p fbb-bench --release --bin abb_bidirectional [-- --design c3540 --dies 60]
 //! ```
 
-use fbb_bench::{arg_value, prepare_design};
+use fbb_bench::{prepare_design, Args};
 use fbb_core::{FbbProblem, TwoPassHeuristic};
 use fbb_device::rbb::RbbModel;
 use fbb_netlist::GateId;
@@ -16,9 +16,9 @@ use fbb_sta::TimingGraph;
 use fbb_variation::{CriticalPathSensor, ProcessVariation};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let name = arg_value(&args, "--design").unwrap_or_else(|| "c3540".into());
-    let dies: usize = arg_value(&args, "--dies").and_then(|v| v.parse().ok()).unwrap_or(60);
+    let (name, dies): (String, usize) = Args::parse_env(|a| {
+        Ok((a.value("--design")?.unwrap_or_else(|| "c3540".into()), a.value("--dies")?.unwrap_or(60)))
+    });
 
     let design = prepare_design(&name);
     let graph = TimingGraph::new(&design.netlist).expect("acyclic");

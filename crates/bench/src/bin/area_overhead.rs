@@ -8,7 +8,7 @@
 //! cargo run -p fbb-bench --release --bin area_overhead [-- --layout --design c5315]
 //! ```
 
-use fbb_bench::{arg_flag, arg_value, format_row, prepare_design};
+use fbb_bench::{format_row, prepare_design, Args};
 use fbb_core::{single_bb, TwoPassHeuristic};
 use fbb_placement::layout::{self, LayoutOptions};
 
@@ -16,14 +16,9 @@ use fbb_placement::layout::{self, LayoutOptions};
 // extension beyond the paper) with a PCT% leakage budget before analysis.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let show_layout = arg_flag(&args, "--layout");
-    let cleanup: Option<f64> = if arg_flag(&args, "--cleanup") {
-        Some(arg_value(&args, "--cleanup").and_then(|v| v.parse().ok()).unwrap_or(3.0))
-    } else {
-        None
-    };
-    let only: Option<String> = arg_value(&args, "--design");
+    let (show_layout, cleanup, only): (bool, Option<f64>, Option<String>) = Args::parse_env(|a| {
+        Ok((a.flag("--layout")?, a.value("--cleanup")?, a.value("--design")?))
+    });
     let designs: Vec<String> = only.map(|d| vec![d]).unwrap_or_else(|| {
         ["c1355", "c3540", "c5315", "c7552", "adder_128bits", "c6288", "Industrial1"]
             .map(str::to_owned)

@@ -7,13 +7,13 @@
 //! cargo run -p fbb-bench --release --bin cluster_sweep [-- --design c5315 --beta 0.05]
 //! ```
 
-use fbb_bench::{arg_value, format_row, prepare_design};
+use fbb_bench::{format_row, prepare_design, Args};
 use fbb_core::{single_bb, TwoPassHeuristic};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let name = arg_value(&args, "--design").unwrap_or_else(|| "c5315".into());
-    let beta: f64 = arg_value(&args, "--beta").and_then(|v| v.parse().ok()).unwrap_or(0.05);
+    let (name, beta): (String, f64) = Args::parse_env(|a| {
+        Ok((a.value("--design")?.unwrap_or_else(|| "c5315".into()), a.value("--beta")?.unwrap_or(0.05)))
+    });
 
     let design = prepare_design(&name);
     println!("{name} @ beta = {:.0}%: heuristic savings vs single BB\n", beta * 100.0);

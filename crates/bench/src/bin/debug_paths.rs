@@ -4,13 +4,16 @@
 //! constraints, per-row criticality, and the solutions' assignments —
 //! used to sanity-check that generated benchmarks have paper-like structure.
 
-use fbb_bench::{arg_value, prepare_design, run_allocation};
+use fbb_bench::{prepare_design, run_allocation, Args};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let name = arg_value(&args, "--design").unwrap_or_else(|| "c3540".into());
-    let beta: f64 = arg_value(&args, "--beta").and_then(|v| v.parse().ok()).unwrap_or(0.05);
-    let c: usize = arg_value(&args, "--clusters").and_then(|v| v.parse().ok()).unwrap_or(3);
+    let (name, beta, c): (String, f64, usize) = Args::parse_env(|a| {
+        Ok((
+            a.value("--design")?.unwrap_or_else(|| "c3540".into()),
+            a.value("--beta")?.unwrap_or(0.05),
+            a.value("--clusters")?.unwrap_or(3),
+        ))
+    });
 
     let design = prepare_design(&name);
     let pre = design.preprocess(beta, c);

@@ -6,10 +6,11 @@
 //! cargo run -p fbb-bench --bin fig1
 //! ```
 
-use fbb_bench::format_row;
+use fbb_bench::{format_row, Args};
 use fbb_device::{BiasLadder, BiasVoltage, BodyBiasModel, Cell, CellKind, DriveStrength, Library};
 
 fn main() {
+    Args::parse_env(|_| Ok(()));
     let model = BodyBiasModel::date09_45nm();
     let library = Library::date09_45nm();
     let full_sweep = BiasLadder::with_resolution(50, 950).expect("valid sweep ladder");

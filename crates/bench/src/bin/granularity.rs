@@ -8,14 +8,14 @@
 //! cargo run -p fbb-bench --release --bin granularity [-- --design c3540 --beta 0.10]
 //! ```
 
-use fbb_bench::{arg_value, format_row, prepare_design};
+use fbb_bench::{format_row, prepare_design, Args};
 use fbb_core::{single_bb, FbbProblem, Granularity, TwoPassHeuristic};
 use fbb_placement::layout::{self, LayoutOptions};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let name = arg_value(&args, "--design").unwrap_or_else(|| "c3540".into());
-    let beta: f64 = arg_value(&args, "--beta").and_then(|v| v.parse().ok()).unwrap_or(0.10);
+    let (name, beta): (String, f64) = Args::parse_env(|a| {
+        Ok((a.value("--design")?.unwrap_or_else(|| "c3540".into()), a.value("--beta")?.unwrap_or(0.10)))
+    });
 
     let design = prepare_design(&name);
     let opts = LayoutOptions::default();

@@ -10,22 +10,21 @@
 
 use std::time::{Duration, Instant};
 
-use fbb_bench::{arg_value, format_row, prepare_design, run_allocation};
+use fbb_bench::{format_row, prepare_design, run_allocation, Args};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let beta: f64 = arg_value(&args, "--beta").and_then(|v| v.parse().ok()).unwrap_or(0.10);
-    let c: usize = arg_value(&args, "--clusters").and_then(|v| v.parse().ok()).unwrap_or(2);
-    let limit = Duration::from_secs_f64(
-        arg_value(&args, "--ilp-time-limit").and_then(|v| v.parse().ok()).unwrap_or(60.0),
-    );
-    let designs: Vec<String> = arg_value(&args, "--designs")
-        .map(|v| v.split(',').map(str::to_owned).collect())
-        .unwrap_or_else(|| {
-            ["c1355", "c3540", "c5315", "c7552", "adder_128bits", "c6288", "Industrial1"]
-                .map(str::to_owned)
-                .to_vec()
-        });
+    let (beta, c, limit, designs): (f64, usize, Duration, Vec<String>) = Args::parse_env(|a| {
+        Ok((
+            a.value("--beta")?.unwrap_or(0.10),
+            a.value("--clusters")?.unwrap_or(2),
+            a.seconds("--ilp-time-limit")?.unwrap_or(Duration::from_secs(60)),
+            a.list("--designs")?.unwrap_or_else(|| {
+                ["c1355", "c3540", "c5315", "c7552", "adder_128bits", "c6288", "Industrial1"]
+                    .map(str::to_owned)
+                    .to_vec()
+            }),
+        ))
+    });
 
     let widths = [14usize, 6, 12, 12, 10, 10, 9];
     println!(

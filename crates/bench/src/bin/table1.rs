@@ -15,19 +15,20 @@
 
 use std::time::Duration;
 
-use fbb_bench::{arg_flag, arg_value, format_row, prepare_design, run_allocation};
+use fbb_bench::{format_row, prepare_design, run_allocation, Args};
 use fbb_netlist::suite;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let designs: Vec<String> = arg_value(&args, "--designs")
-        .map(|v| v.split(',').map(str::to_owned).collect())
-        .unwrap_or_else(|| suite::PAPER_TABLE1.iter().map(|s| s.name.to_owned()).collect());
-    let time_limit = Duration::from_secs_f64(
-        arg_value(&args, "--ilp-time-limit").and_then(|v| v.parse().ok()).unwrap_or(120.0),
-    );
-    let no_ilp = arg_flag(&args, "--no-ilp");
-    let force_ilp = arg_flag(&args, "--force-ilp");
+    let (designs, time_limit, no_ilp, force_ilp): (Vec<String>, Duration, bool, bool) =
+        Args::parse_env(|a| {
+            Ok((
+                a.list("--designs")?
+                    .unwrap_or_else(|| suite::PAPER_TABLE1.iter().map(|s| s.name.to_owned()).collect()),
+                a.seconds("--ilp-time-limit")?.unwrap_or(Duration::from_secs(120)),
+                a.flag("--no-ilp")?,
+                a.flag("--force-ilp")?,
+            ))
+        });
 
     let widths = [14usize, 6, 5, 4, 12, 10, 10, 10, 10, 9];
     let header = [

@@ -7,6 +7,7 @@
 //! cargo run -p fbb-bench --release --bin tuning_arch
 //! ```
 
+use fbb_bench::Args;
 use fbb_core::tuning::{tune_blocks, tune_blocks_shared, BlockRequest};
 use fbb_core::FbbProblem;
 use fbb_device::{BiasLadder, BodyBiasModel, Library};
@@ -14,6 +15,7 @@ use fbb_netlist::generators;
 use fbb_placement::{Placer, PlacerOptions};
 
 fn main() {
+    Args::parse_env(|_| Ok(()));
     let library = Library::date09_45nm();
     let chara = library.characterize(
         &BodyBiasModel::date09_45nm(),

@@ -9,17 +9,20 @@
 //! cargo run -p fbb-bench --release --bin yield_mc [-- --design c3540 --dies 40]
 //! ```
 
-use fbb_bench::{arg_value, prepare_design};
+use fbb_bench::{prepare_design, Args};
 use fbb_core::{FbbProblem, TwoPassHeuristic};
 use fbb_netlist::GateId;
 use fbb_sta::TimingGraph;
 use fbb_variation::{CriticalPathSensor, ProcessVariation};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let name = arg_value(&args, "--design").unwrap_or_else(|| "c3540".into());
-    let dies: usize = arg_value(&args, "--dies").and_then(|v| v.parse().ok()).unwrap_or(40);
-    let seed: u64 = arg_value(&args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(0xD1E5);
+    let (name, dies, seed): (String, usize, u64) = Args::parse_env(|a| {
+        Ok((
+            a.value("--design")?.unwrap_or_else(|| "c3540".into()),
+            a.value("--dies")?.unwrap_or(40),
+            a.value("--seed")?.unwrap_or(0xD1E5),
+        ))
+    });
 
     let design = prepare_design(&name);
     let graph = TimingGraph::new(&design.netlist).expect("acyclic");

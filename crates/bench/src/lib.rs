@@ -1,7 +1,10 @@
 //! Shared experiment harness: design loading, allocation runs, and table
 //! formatting for the binaries that regenerate the paper's tables/figures.
 
+pub mod args;
 pub mod report;
+
+pub use args::{ArgError, Args};
 
 use std::time::Duration;
 
@@ -130,16 +133,6 @@ pub fn format_row(cells: &[String], widths: &[usize]) -> String {
         .join("  ")
 }
 
-/// Parses `--flag value`-style arguments from `std::env::args`.
-pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Whether a bare `--flag` is present.
-pub fn arg_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,15 +153,5 @@ mod tests {
         assert!(run.heuristic_savings() >= 0.0);
         let ilp_savings = run.ilp_savings().expect("ilp ran");
         assert!(ilp_savings + 1e-6 >= run.heuristic_savings());
-    }
-
-    #[test]
-    fn arg_parsing() {
-        let args: Vec<String> =
-            ["--beta", "0.05", "--layout"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(arg_value(&args, "--beta").as_deref(), Some("0.05"));
-        assert!(arg_flag(&args, "--layout"));
-        assert!(!arg_flag(&args, "--missing"));
-        assert_eq!(arg_value(&args, "--none"), None);
     }
 }

@@ -25,6 +25,20 @@ pub enum Granularity {
     Gate,
 }
 
+impl std::str::FromStr for Granularity {
+    type Err = String;
+
+    /// Parses `block`, `row` or `gate`.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "block" => Ok(Granularity::Block),
+            "row" => Ok(Granularity::Row),
+            "gate" => Ok(Granularity::Gate),
+            other => Err(format!("unknown granularity {other:?}; use block, row or gate")),
+        }
+    }
+}
+
 /// An FBB allocation problem over one placed circuit block.
 #[derive(Debug, Clone)]
 pub struct FbbProblem<'a> {

@@ -203,7 +203,7 @@ impl DesignDb {
     /// semantically inconsistent file that a matching CRC vouches for is
     /// accepted as-is.
     ///
-    /// This is the warm path for `fbb solve --db`, `fbb sta --db`, and the
+    /// This is the warm path for `fbb solve` and `fbb sta` on a `.fbb` file, and the
     /// `fbb-serve` design cache, where the bytes were produced by a
     /// previous `fbb compile` (often in the same pipeline) and the full
     /// validation pass was costing more than the solve itself on

@@ -32,6 +32,8 @@
 #     two Table 1 designs, byte-for-byte comparison against the golden
 #     fixtures in tests/golden/, and a corrupt-input smoke (a truncated
 #     .fbb must exit non-zero with a reason, never crash)
+#   - strict-parsing lane: each of the experiment binaries rejects an
+#     unknown flag with exit 1 within seconds (flags are read before work)
 #   - serve lane: a real daemon on an ephemeral port, a 100-request
 #     bench-serve smoke (>=1 cache hit, warm p50 beating the cold CLI),
 #     and a graceful SIGTERM drain (exit 0 + "drained cleanly")
@@ -42,6 +44,24 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
+# Strict-parsing lane: every experiment binary reads all of its flags before
+# doing any work, so an unknown flag must exit 1 at once (table1 would
+# otherwise run for about 25 minutes).
+bench_bins=0
+for src in crates/bench/src/bin/*.rs; do
+    bin=$(basename "$src" .rs)
+    set +e
+    timeout 10 "./target/release/$bin" --no-such-flag > /dev/null 2>&1
+    bin_code=$?
+    set -e
+    if [ "$bin_code" -ne 1 ]; then
+        echo "check.sh: $bin --no-such-flag exited $bin_code, expected 1" >&2
+        exit 1
+    fi
+    bench_bins=$((bench_bins + 1))
+done
+echo "strict-parsing lane: $bench_bins experiment binaries reject an unknown flag (exit 1)"
 
 # Differential-testing gate: oracles vs engines, plus fault-injection suites.
 cargo test -q -p fbb-testkit

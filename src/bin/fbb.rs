@@ -16,16 +16,24 @@
 //! pre-processed problem are then loaded instead of recomputed, skipping
 //! straight to the LP.
 //!
+//! Flags are parsed strictly (`fbb::bench::Args`): each subcommand reads
+//! all of its flags before doing any work, and an unknown flag, a missing
+//! or repeated value, or a value that does not parse exits 1 with a
+//! message naming the flag. Nothing falls back to a default on a
+//! malformed value.
+//!
 //! Exit codes are a machine-readable contract:
 //!
 //! * `0` — success (and, with `--require-optimal`, a proven optimum);
-//! * `1` — usage error or internal failure;
+//! * `1` — usage error (including any malformed flag), internal failure,
+//!   or a `solve` answer that misses Dcrit when re-timed;
 //! * `2` — the instance is infeasible (uncompensable β);
 //! * `3` — a time/node budget expired without an optimality proof;
 //! * `4` — `difftest` found at least one engine/oracle mismatch;
 //! * `5` — `lint` found repo-invariant violations or model-audit errors.
 
-use std::path::Path;
+use std::num::NonZeroUsize;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -34,6 +42,7 @@ use fbb::core::{
     TwoPassHeuristic,
 };
 use fbb::bench::report::BenchReport;
+use fbb::bench::{ArgError, Args};
 use fbb::db::{is_design_db, DesignDb};
 use fbb::device::{BiasLadder, BodyBiasModel, Characterization, Library};
 use fbb::lp::deadline::Stopwatch;
@@ -93,6 +102,12 @@ impl From<&str> for CliError {
     }
 }
 
+impl From<ArgError> for CliError {
+    fn from(e: ArgError) -> Self {
+        CliError::Failure(e.to_string())
+    }
+}
+
 /// Classifies an allocation error: uncompensable β is a property of the
 /// instance (exit 2, with the engine's worst-path diagnosis), everything
 /// else is an internal failure (exit 1).
@@ -101,14 +116,6 @@ fn classify_fbb_error(e: FbbError) -> CliError {
         FbbError::Uncompensable { .. } => CliError::Infeasible(format!("infeasible: {e}")),
         other => CliError::Failure(other.to_string()),
     }
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-}
-
-fn arg_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
 }
 
 /// Parses a text netlist read from `path`: `.bench` files use the ISCAS
@@ -152,14 +159,11 @@ fn date09_characterization(library: &Library) -> Result<Characterization, String
 /// The cold pipeline's placement (honouring `--rows`) and characterization
 /// of a text netlist.
 fn place_and_characterize(
-    args: &[String],
+    rows: Option<u32>,
     netlist: &Netlist,
 ) -> Result<(Placement, Characterization), String> {
     let library = Library::date09_45nm();
-    let mut options = PlacerOptions::default();
-    if let Some(rows) = arg_value(args, "--rows").and_then(|v| v.parse().ok()) {
-        options.target_rows = Some(rows);
-    }
+    let options = PlacerOptions { target_rows: rows, ..PlacerOptions::default() };
     let placement = Placer::new(options).place(netlist, &library).map_err(|e| e.to_string())?;
     Ok((placement, date09_characterization(&library)?))
 }
@@ -191,12 +195,12 @@ fn read_design_bytes(path: &str) -> Result<Vec<u8>, CliError> {
 /// warm-path consumers and the container checksums already gate
 /// corruption. `difftest --db` — the integrity oracle — is the one caller
 /// that keeps the fully verified decode.
-fn load_design(args: &[String], path: &str) -> Result<LoadedDesign, CliError> {
+fn load_design(rows: Option<u32>, path: &str) -> Result<LoadedDesign, CliError> {
     let bytes = read_design_bytes(path)?;
     if is_design_db(&bytes) {
         let db = DesignDb::decode_fast(&bytes)
             .map_err(|e| format!("cannot load design {path}: {e}"))?;
-        if arg_value(args, "--rows").is_some() {
+        if rows.is_some() {
             eprintln!("note: --rows ignored ({path} is a compiled database with a stored placement)");
         }
         return Ok(LoadedDesign {
@@ -209,7 +213,7 @@ fn load_design(args: &[String], path: &str) -> Result<LoadedDesign, CliError> {
     let text =
         String::from_utf8(bytes).map_err(|_| format!("{path}: neither a design database nor text"))?;
     let netlist = parse_netlist(path, &text)?;
-    let (placement, chara) = place_and_characterize(args, &netlist)?;
+    let (placement, chara) = place_and_characterize(rows, &netlist)?;
     Ok(LoadedDesign { netlist, placement, chara, db: None })
 }
 
@@ -225,7 +229,7 @@ fn save_netlist(nl: &Netlist, path: &str) -> Result<(), String> {
 fn usage() -> &'static str {
     "usage:\n  \
      fbb generate --design <table1-name|adder:W|multiplier:W|alu:W> [--out FILE]\n  \
-     fbb compile (--design NAME | --netlist FILE) -o FILE.fbb [--rows N]\n            \
+     fbb compile (--design NAME | --netlist FILE) (-o | --out) FILE.fbb [--rows N]\n            \
      [--betas 0.05,0.10] [--clusters 3] [--granularity row,block,gate]\n  \
      fbb sta --netlist FILE [--beta 0.05]\n  \
      fbb solve --netlist FILE [--rows N] [--beta 0.05] [--clusters 3]\n            \
@@ -238,8 +242,10 @@ fn usage() -> &'static str {
      [--node-limit N] [--time-limit SECS] [--cold] [--report FILE]\n  \
      fbb bench-serve (--design NAME | --netlist FILE.fbb) [--addr HOST:PORT]\n            \
      [--connections 4] [--requests 64] [--beta 0.05] [--clusters 3]\n  \
-     fbb difftest [--cases 64] [--seed 0] [--gap-limit 0.6] [--db FILE.fbb]\n  \
-     fbb lint [--json] [--deep] [--fixtures] [--models] [--designs a,b] [--root DIR]\n  \
+     fbb difftest [--cases 64] [--seed 0] [--gap-limit 0.6]\n  \
+     fbb difftest --db FILE.fbb [--ilp] [--ilp-time-limit SECS]\n  \
+     fbb lint [--json] [--deep] [--fixtures] [--root DIR]\n  \
+     fbb lint --models [--designs a,b] [--clusters 3]\n  \
      fbb lint (--list-rules | --explain RULE)\n\n\
      `fbb serve` runs the allocation daemon (protocol: docs/PROTOCOL.md):\n\
      clients load a compiled design once into the in-memory cache, then\n\
@@ -267,6 +273,8 @@ fn usage() -> &'static str {
      Any command also accepts --telemetry FILE: solver/STA/Monte-Carlo\n\
      counters are collected during the run, written to FILE as flat JSON,\n\
      and summarized on stderr.\n\n\
+     Flags are strict: an unknown flag, a missing or repeated value, or a\n\
+     value that does not parse exits 1 naming the flag, before any work.\n\n\
      Exit codes: 0 ok, 1 usage/internal error, 2 infeasible instance,\n\
      3 budget expired without an optimality proof (--require-optimal),\n\
      4 difftest mismatch, 5 lint/model-audit violations.\n\n\
@@ -274,22 +282,24 @@ fn usage() -> &'static str {
 }
 
 fn run() -> Result<(), CliError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let telemetry_path = arg_value(&args, "--telemetry");
+    let mut argv = std::env::args().skip(1);
+    let command = argv.next();
+    let mut args = Args::new(argv);
+    let telemetry_path: Option<String> = args.value("--telemetry")?;
     if telemetry_path.is_some() {
         fbb::telemetry::reset();
         fbb::telemetry::enable();
     }
-    let result = match args.first().map(String::as_str) {
-        Some("generate") => generate(&args).map_err(CliError::from),
-        Some("compile") => compile(&args),
-        Some("sta") => sta(&args),
-        Some("solve") => solve(&args),
-        Some("serve") => serve(&args),
-        Some("sweep") => sweep(&args),
-        Some("bench-serve") => bench_serve(&args),
-        Some("difftest") => difftest(&args),
-        Some("lint") => lint(&args),
+    let result = match command.as_deref() {
+        Some("generate") => generate(args),
+        Some("compile") => compile(args),
+        Some("sta") => sta(args),
+        Some("solve") => solve(args),
+        Some("serve") => serve(args),
+        Some("sweep") => sweep(args),
+        Some("bench-serve") => bench_serve(args),
+        Some("difftest") => difftest(args),
+        Some("lint") => lint(args),
         _ => Err(CliError::Failure(usage().to_owned())),
     };
     if let Some(path) = telemetry_path {
@@ -311,14 +321,16 @@ fn run() -> Result<(), CliError> {
 /// the duration of the run — they exist so scripts (and `scripts/check.sh`)
 /// can prove the harness detects a real solver bug, and an armed run must
 /// therefore *fail*.
-fn difftest(args: &[String]) -> Result<(), CliError> {
-    if let Some(path) = arg_value(args, "--db") {
+fn difftest(mut args: Args) -> Result<(), CliError> {
+    if let Some(path) = args.value::<String>("--db")? {
         return difftest_db(&path, args);
     }
-    let cases: usize = arg_value(args, "--cases").and_then(|v| v.parse().ok()).unwrap_or(64);
-    let seed: u64 = arg_value(args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let gap_limit: f64 =
-        arg_value(args, "--gap-limit").and_then(|v| v.parse().ok()).unwrap_or(0.6);
+    let cases = args.value("--cases")?.unwrap_or(64);
+    let seed: u64 = args.value("--seed")?.unwrap_or(0);
+    let gap_limit = args.value("--gap-limit")?.unwrap_or(0.6);
+    let pivot_bug = args.flag("--inject-pivot-bug")?;
+    let postsolve_bug = args.flag("--inject-postsolve-bug")?;
+    args.finish()?;
     let config = fbb::testkit::DiffConfig {
         cases,
         seed,
@@ -326,10 +338,10 @@ fn difftest(args: &[String]) -> Result<(), CliError> {
         ..fbb::testkit::DiffConfig::default()
     };
     let runner = fbb::testkit::DiffRunner::with_config(config);
-    let report = if arg_flag(args, "--inject-pivot-bug") {
+    let report = if pivot_bug {
         eprintln!("warning: pivot-sign defect armed; this run must report mismatches");
         fbb::lp::fault::with_flipped_pivot_sign(|| runner.run())
-    } else if arg_flag(args, "--inject-postsolve-bug") {
+    } else if postsolve_bug {
         eprintln!("warning: postsolve-swap defect armed; this run must report mismatches");
         fbb::lp::fault::with_swapped_postsolve_entries(|| runner.run())
     } else {
@@ -365,17 +377,16 @@ fn difftest(args: &[String]) -> Result<(), CliError> {
 /// `--ilp`, the exact solver additionally must not be beaten by the
 /// heuristic whenever it proves optimality. Any disagreement exits 4, same
 /// as the random-case harness.
-fn difftest_db(path: &str, args: &[String]) -> Result<(), CliError> {
+fn difftest_db(path: &str, mut args: Args) -> Result<(), CliError> {
+    let run_ilp = args.flag("--ilp")?;
+    let ilp_limit = args.seconds("--ilp-time-limit")?.unwrap_or(Duration::from_secs(30));
+    args.finish()?;
     let bytes = read_design_bytes(path)?;
     // The oracle run keeps the fully verified decode on purpose: difftest
     // exists to catch corruption, so it must not trust the CRCs alone.
     let db = DesignDb::decode_verified(&bytes)
         .map_err(|e| format!("cannot load design {path}: {e}"))?;
     println!("{}", db.stats());
-    let run_ilp = arg_flag(args, "--ilp");
-    let ilp_limit = arg_value(args, "--ilp-time-limit")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30.0);
     let mut mismatches = Vec::new();
     for entry in &db.entries {
         let pre = &entry.pre;
@@ -405,7 +416,7 @@ fn difftest_db(path: &str, args: &[String]) -> Result<(), CliError> {
         }
         let mut ilp_note = String::new();
         if run_ilp {
-            let out = IlpAllocator::with_time_limit(Duration::from_secs_f64(ilp_limit))
+            let out = IlpAllocator::with_time_limit(ilp_limit)
                 .solve(pre)
                 .map_err(|e| CliError::Failure(format!("{tag}: {e}")))?;
             if let (Some(exact), true) = (&out.solution, out.proven_optimal) {
@@ -462,17 +473,19 @@ fn difftest_db(path: &str, args: &[String]) -> Result<(), CliError> {
 /// builds the FBB ILP for the Table 1 designs at β ∈ {5 %, 10 %} and runs
 /// `Model::audit` plus the Eq. 1–5 structure audit on each, exiting 5 on
 /// any structural error.
-fn lint(args: &[String]) -> Result<(), CliError> {
-    if arg_flag(args, "--models") {
+fn lint(mut args: Args) -> Result<(), CliError> {
+    if args.flag("--models")? {
         return lint_models(args);
     }
-    if arg_flag(args, "--list-rules") {
+    if args.flag("--list-rules")? {
+        args.finish()?;
         for r in &fbb::audit::RULES {
             println!("{}  {}{}", r.id, r.title, if r.deep { "  [deep]" } else { "" });
         }
         return Ok(());
     }
-    if let Some(id) = arg_value(args, "--explain") {
+    if let Some(id) = args.value::<String>("--explain")? {
+        args.finish()?;
         let wanted = id.to_ascii_uppercase();
         let Some(r) = fbb::audit::rule(&wanted) else {
             return Err(CliError::Failure(format!(
@@ -488,21 +501,25 @@ fn lint(args: &[String]) -> Result<(), CliError> {
         println!("\nfix: {}", r.hint);
         return Ok(());
     }
-    let root = match arg_value(args, "--root") {
-        Some(dir) => std::path::PathBuf::from(dir),
+    let root: Option<PathBuf> = args.value("--root")?;
+    let fixtures = args.flag("--fixtures")?;
+    let deep = args.flag("--deep")?;
+    let json = args.flag("--json")?;
+    args.finish()?;
+    let root = match root {
+        Some(dir) => dir,
         None => find_workspace_root()?,
     };
-    let fixtures = arg_flag(args, "--fixtures");
     let report = if fixtures {
         fbb::audit::audit_fixtures(&root)
-    } else if arg_flag(args, "--deep") {
+    } else if deep {
         fbb::audit::audit_workspace_deep(&root)
     } else {
         fbb::audit::audit_workspace(&root)
     }
     .map_err(|e| CliError::Failure(format!("lint: {e}")))?;
 
-    if arg_flag(args, "--json") {
+    if json {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.summary());
@@ -539,7 +556,7 @@ fn lint(args: &[String]) -> Result<(), CliError> {
 
 /// Walks up from the current directory to the enclosing Cargo workspace
 /// root (the directory whose `Cargo.toml` has a `[workspace]` section).
-fn find_workspace_root() -> Result<std::path::PathBuf, CliError> {
+fn find_workspace_root() -> Result<PathBuf, CliError> {
     let start = std::env::current_dir()
         .map_err(|e| CliError::Failure(format!("cannot resolve current dir: {e}")))?;
     let mut dir = start.as_path();
@@ -563,13 +580,12 @@ fn find_workspace_root() -> Result<std::path::PathBuf, CliError> {
 }
 
 /// `fbb lint --models` — Layer-2 smoke over the paper suite.
-fn lint_models(args: &[String]) -> Result<(), CliError> {
-    let designs: Vec<String> = match arg_value(args, "--designs") {
-        Some(v) => v.split(',').map(str::to_owned).collect(),
-        None => suite::PAPER_TABLE1.iter().map(|s| s.name.to_owned()).collect(),
-    };
-    let clusters: usize =
-        arg_value(args, "--clusters").and_then(|v| v.parse().ok()).unwrap_or(3);
+fn lint_models(mut args: Args) -> Result<(), CliError> {
+    let designs: Vec<String> = args
+        .list("--designs")?
+        .unwrap_or_else(|| suite::PAPER_TABLE1.iter().map(|s| s.name.to_owned()).collect());
+    let clusters = args.value("--clusters")?.unwrap_or(3);
+    args.finish()?;
     let mut errors = 0usize;
     let mut warnings = 0usize;
     for name in &designs {
@@ -616,20 +632,24 @@ fn lint_models(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn generate(args: &[String]) -> Result<(), String> {
-    let design = arg_value(args, "--design").ok_or("missing --design")?;
-    let nl = resolve_design(&design)?;
+fn generate(mut args: Args) -> Result<(), CliError> {
+    let design: Option<String> = args.value("--design")?;
+    let out: Option<String> = args.value("--out")?;
+    args.finish()?;
+    let nl = resolve_design(&design.ok_or("missing --design")?)?;
     eprintln!("{}", nl.stats());
-    match arg_value(args, "--out") {
+    match out {
         Some(path) => save_netlist(&nl, &path)?,
         None => print!("{}", nl_fmt::to_string(&nl)),
     }
     Ok(())
 }
 
-fn sta(args: &[String]) -> Result<(), CliError> {
-    let path = arg_value(args, "--netlist").ok_or("missing --netlist")?;
-    let beta: f64 = arg_value(args, "--beta").and_then(|v| v.parse().ok()).unwrap_or(0.0);
+fn sta(mut args: Args) -> Result<(), CliError> {
+    let path: Option<String> = args.value("--netlist")?;
+    let beta = args.value("--beta")?.unwrap_or(0.0);
+    args.finish()?;
+    let path = path.ok_or("missing --netlist")?;
 
     // From a compiled database the report comes straight from the stored
     // timing tables (the exact jittered STA input and its extracted paths);
@@ -676,72 +696,65 @@ fn sta(args: &[String]) -> Result<(), CliError> {
 /// `fbb compile` — run the pre-LP pipeline once and persist every artifact
 /// (netlist, placement, characterization inputs, STA tables, pre-processed
 /// problems) to a versioned `.fbb` design database.
-fn compile(args: &[String]) -> Result<(), CliError> {
-    let out = arg_value(args, "-o")
-        .or_else(|| arg_value(args, "--out"))
-        .ok_or("missing -o FILE.fbb")?;
-    let (netlist, source) = if let Some(path) = arg_value(args, "--netlist") {
+fn compile(mut args: Args) -> Result<(), CliError> {
+    let out: Option<String> = match (args.value("-o")?, args.value("--out")?) {
+        (Some(_), Some(_)) => return Err("-o and --out name the same flag; give one".into()),
+        (short, long) => short.or(long),
+    };
+    let netlist_path: Option<String> = args.value("--netlist")?;
+    let design: Option<String> = args.value("--design")?;
+    let rows = args.value("--rows")?;
+    let betas = args.list("--betas")?.unwrap_or_else(|| vec![0.05, 0.10]);
+    let granularities = args.list("--granularity")?.unwrap_or_else(|| vec![Granularity::Row]);
+    let clusters = args.value("--clusters")?.unwrap_or(3);
+    args.finish()?;
+    let out = out.ok_or("missing -o FILE.fbb")?;
+    let (netlist, source) = if let Some(path) = netlist_path {
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
         (parse_netlist(&path, &text)?, format!("netlist {path}"))
-    } else if let Some(name) = arg_value(args, "--design") {
+    } else if let Some(name) = design {
         (resolve_design(&name)?, format!("generated {name}"))
     } else {
         return Err("missing --design or --netlist".into());
     };
 
-    let betas: Vec<f64> = match arg_value(args, "--betas") {
-        Some(list) => {
-            let mut parsed = Vec::new();
-            for item in list.split(',') {
-                parsed.push(
-                    item.trim()
-                        .parse::<f64>()
-                        .map_err(|_| format!("bad beta {item:?} in --betas"))?,
-                );
-            }
-            parsed
-        }
-        None => vec![0.05, 0.10],
-    };
-    let granularities: Vec<Granularity> = match arg_value(args, "--granularity") {
-        Some(list) => {
-            let mut parsed = Vec::new();
-            for item in list.split(',') {
-                parsed.push(match item.trim() {
-                    "block" => Granularity::Block,
-                    "row" => Granularity::Row,
-                    "gate" => Granularity::Gate,
-                    other => return Err(format!("unknown granularity {other:?}").into()),
-                });
-            }
-            parsed
-        }
-        None => vec![Granularity::Row],
-    };
-    let clusters: usize =
-        arg_value(args, "--clusters").and_then(|v| v.parse().ok()).unwrap_or(3);
-
-    let (placement, chara) = place_and_characterize(args, &netlist)?;
+    let (placement, chara) = place_and_characterize(rows, &netlist)?;
     eprintln!("{}", netlist.stats());
     eprintln!("{}", placement.stats());
 
     let db = DesignDb::build(&source, &netlist, &placement, &chara, &betas, &granularities, clusters)
         .map_err(classify_fbb_error)?;
     let bytes = db.encode_to_vec();
-    std::fs::write(&out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
+    // Write beside the target and rename over it, so a failed write leaves
+    // any previous database intact.
+    let tmp = format!("{out}.{}.tmp", std::process::id());
+    std::fs::write(&tmp, &bytes)
+        .and_then(|()| std::fs::rename(&tmp, &out))
+        .map_err(|e| {
+            let _ = std::fs::remove_file(&tmp);
+            format!("cannot write {out}: {e}")
+        })?;
     fbb::telemetry::counter("cli_compile_runs", 1);
     println!("compiled {}", db.stats());
     println!("{} bytes -> {out} (format v{})", bytes.len(), fbb::db::FORMAT_VERSION);
     Ok(())
 }
 
-fn solve(args: &[String]) -> Result<(), CliError> {
-    let path = arg_value(args, "--netlist").ok_or("missing --netlist")?;
-    let beta: f64 = arg_value(args, "--beta").and_then(|v| v.parse().ok()).unwrap_or(0.05);
-    let clusters: usize =
-        arg_value(args, "--clusters").and_then(|v| v.parse().ok()).unwrap_or(3);
-    let design = load_design(args, &path)?;
+fn solve(mut args: Args) -> Result<(), CliError> {
+    let path: Option<String> = args.value("--netlist")?;
+    let rows = args.value("--rows")?;
+    let beta = args.value("--beta")?.unwrap_or(0.05);
+    let clusters = args.value("--clusters")?.unwrap_or(3);
+    let ilp = args.flag("--ilp")?;
+    let ilp_limit = args.seconds("--ilp-time-limit")?.unwrap_or(Duration::from_secs(120));
+    let require_optimal = args.flag("--require-optimal")?;
+    let show_layout = args.flag("--layout")?;
+    let cleanup: Option<f64> = args.value("--cleanup")?;
+    let mc_samples: Option<usize> = args.value("--mc")?;
+    args.finish()?;
+    let path = path.ok_or("missing --netlist")?;
+    let design = load_design(rows, &path)?;
     let (nl, placement, chara) = (&design.netlist, &design.placement, &design.chara);
     let ladder = chara.ladder().clone();
     eprintln!("{}", nl.stats());
@@ -750,6 +763,8 @@ fn solve(args: &[String]) -> Result<(), CliError> {
     // A compiled database skips straight to the LP: the pre-processed
     // problem is looked up by (granularity, β) and the cluster budget is
     // overridden — pre-processing never reads it, so the override is exact.
+    let problem =
+        FbbProblem::new(nl, placement, chara, beta, clusters).map_err(|e| e.to_string())?;
     let cached = design
         .db
         .as_ref()
@@ -766,10 +781,7 @@ fn solve(args: &[String]) -> Result<(), CliError> {
                     db.betas(Granularity::Row)
                 );
             }
-            FbbProblem::new(nl, placement, chara, beta, clusters)
-                .map_err(|e| e.to_string())?
-                .preprocess()
-                .map_err(|e| e.to_string())?
+            problem.preprocess().map_err(|e| e.to_string())?
         }
     };
     println!(
@@ -786,7 +798,7 @@ fn solve(args: &[String]) -> Result<(), CliError> {
     );
 
     let mut sol = TwoPassHeuristic::default().solve(&pre).map_err(classify_fbb_error)?;
-    if let Some(pct) = arg_value(args, "--cleanup").and_then(|v| v.parse::<f64>().ok()) {
+    if let Some(pct) = cleanup {
         let raised = sol.reduce_well_separations(&pre, pct);
         eprintln!("cleanup raised {raised} rows (budget {pct}%)");
     }
@@ -798,11 +810,8 @@ fn solve(args: &[String]) -> Result<(), CliError> {
         sol.savings_vs(&baseline)
     );
 
-    if arg_flag(args, "--ilp") {
-        let limit = arg_value(args, "--ilp-time-limit")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(120.0);
-        let out = IlpAllocator::with_time_limit(Duration::from_secs_f64(limit))
+    if ilp {
+        let out = IlpAllocator::with_time_limit(ilp_limit)
             .solve(&pre)
             .map_err(classify_fbb_error)?;
         // Status wording is part of the CLI contract: the word "optimal"
@@ -827,9 +836,10 @@ fn solve(args: &[String]) -> Result<(), CliError> {
             ),
             (None, _) => println!("ilp       : no solution within the time limit"),
         }
-        if arg_flag(args, "--require-optimal") && !out.proven_optimal {
+        if require_optimal && !out.proven_optimal {
             return Err(CliError::BudgetExpired(format!(
-                "deadline: ILP budget ({limit}s) expired without an optimality proof (gap {})",
+                "deadline: ILP budget ({}s) expired without an optimality proof (gap {})",
+                ilp_limit.as_secs_f64(),
                 if out.gap.is_finite() {
                     format!("{:.2}%", out.gap * 100.0)
                 } else {
@@ -848,7 +858,7 @@ fn solve(args: &[String]) -> Result<(), CliError> {
     }
     println!();
 
-    if arg_flag(args, "--layout") {
+    if show_layout {
         let art = layout::render_ascii(placement, &ladder, &sol.assignment, &LayoutOptions::default())
             .map_err(|e| e.to_string())?;
         println!("\n{art}");
@@ -857,14 +867,14 @@ fn solve(args: &[String]) -> Result<(), CliError> {
     fbb::telemetry::record("cli_solution_leakage_nw", sol.leakage_nw);
     fbb::telemetry::record("cli_solution_savings_pct", sol.savings_vs(&baseline));
 
-    // Independent verification: apply the biases to the degraded die and
-    // re-time. Seeding the incremental engine with the degraded delays and
-    // invalidating only the biased rows exercises the cone-limited re-timing
-    // path, which is bit-identical to a from-scratch analyze of the tuned
-    // delays.
+    // Independent verification: apply the biases to the degraded die the
+    // optimizer saw (its jittered nominal delays, slowed by β) and re-time
+    // the whole die against Dcrit, strictly, with no margin. Seeding the
+    // incremental engine with the degraded delays and invalidating only the
+    // biased rows exercises the cone-limited re-timing path, which is
+    // bit-identical to a from-scratch analyze of the tuned delays.
     let graph = TimingGraph::new(nl).map_err(|e| e.to_string())?;
-    let degraded: Vec<f64> =
-        nl.gates().iter().map(|g| chara.delay_ps(g.cell, 0) * (1.0 + beta)).collect();
+    let degraded: Vec<f64> = problem.nominal_delays().iter().map(|d| d * (1.0 + beta)).collect();
     let row_of: Vec<usize> =
         (0..nl.gate_count()).map(|i| placement.row_of(GateId::from_index(i)).index()).collect();
     let mut inc = IncrementalSta::with_rows(&graph, &degraded, RowMap::new(&row_of));
@@ -883,19 +893,24 @@ fn solve(args: &[String]) -> Result<(), CliError> {
     dirty_rows.dedup();
     inc.invalidate_rows(&dirty_rows);
     let tuned_dcrit = inc.retime();
+    let met = tuned_dcrit <= pre.dcrit_ps;
     println!(
         "verification: biased degraded Dcrit = {:.1} ps vs target {:.1} ps ({}; retimed {} nodes)",
         tuned_dcrit,
         pre.dcrit_ps,
-        if tuned_dcrit <= pre.dcrit_ps * 1.002 { "met" } else { "VIOLATED" },
+        if met { "met" } else { "VIOLATED" },
         inc.last_retimed_nodes()
     );
+    if !met {
+        return Err(CliError::Failure(format!(
+            "verification: the biased die's Dcrit {tuned_dcrit} ps exceeds the target {} ps",
+            pre.dcrit_ps
+        )));
+    }
 
     // Monte-Carlo yield of the uncompensated die population. On by default
     // (32 dies) when telemetry is collected, opt-in via --mc otherwise.
-    let mc_samples: usize = arg_value(args, "--mc")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if fbb::telemetry::is_enabled() { 32 } else { 0 });
+    let mc_samples = mc_samples.unwrap_or(if fbb::telemetry::is_enabled() { 32 } else { 0 });
     if mc_samples > 0 {
         let nominal: Vec<f64> =
             nl.gates().iter().map(|g| chara.delay_ps(g.cell, 0)).collect();
@@ -921,15 +936,14 @@ fn solve(args: &[String]) -> Result<(), CliError> {
 /// serving) so scripts can discover an ephemeral port, then blocks in the
 /// accept loop. SIGTERM/SIGINT or a SHUTDOWN frame trigger a graceful
 /// drain: queued solves are answered, then the process exits 0.
-fn serve(args: &[String]) -> Result<(), CliError> {
+fn serve(mut args: Args) -> Result<(), CliError> {
     let config = ServeConfig {
-        addr: arg_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7117".to_owned()),
-        workers: arg_value(args, "--workers").and_then(|v| v.parse().ok()).unwrap_or(0),
-        cache_designs: arg_value(args, "--cache-designs")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
-        queue_depth: arg_value(args, "--queue-depth").and_then(|v| v.parse().ok()).unwrap_or(0),
+        addr: args.value("--addr")?.unwrap_or_else(|| "127.0.0.1:7117".to_owned()),
+        workers: args.value("--workers")?.unwrap_or(0),
+        cache_designs: args.value("--cache-designs")?.unwrap_or(0),
+        queue_depth: args.value("--queue-depth")?.unwrap_or(0),
     };
+    args.finish()?;
     fbb::serve::install_signal_handlers();
     let server =
         Server::bind(&config).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
@@ -945,34 +959,28 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses a comma-separated list flag (`--betas 0.03,0.05`), with a
-/// default when absent.
-fn arg_list<T: std::str::FromStr + Clone>(
-    args: &[String],
-    flag: &str,
-    default: &[T],
-) -> Result<Vec<T>, CliError> {
-    match arg_value(args, flag) {
-        None => Ok(default.to_vec()),
-        Some(list) => list
-            .split(',')
-            .map(|item| {
-                item.trim()
-                    .parse::<T>()
-                    .map_err(|_| CliError::Failure(format!("bad value {item:?} in {flag}")))
-            })
-            .collect(),
-    }
-}
-
 /// `fbb sweep` — run the β × C × P grid over one design as a warm
 /// pipeline (see `fbb::core::sweep`), streaming one line per cell.
-fn sweep(args: &[String]) -> Result<(), CliError> {
-    let rows: u32 = arg_value(args, "--rows").and_then(|v| v.parse().ok()).unwrap_or(64);
+fn sweep(mut args: Args) -> Result<(), CliError> {
+    let compose: Option<usize> = args.value("--compose")?;
+    let path: Option<String> = args.value("--netlist")?;
+    let name: Option<String> = args.value("--design")?;
+    let rows = args.value("--rows")?;
+    let grid = fbb::core::SweepGrid {
+        betas: args.list("--betas")?.unwrap_or_else(|| vec![0.03, 0.05]),
+        clusters: args.list("--clusters")?.unwrap_or_else(|| vec![2, 3]),
+        levels: args.list("--levels")?.unwrap_or_else(|| vec![6, 11]),
+    };
+    let options = fbb::core::SweepOptions {
+        time_limit: args.seconds("--time-limit")?,
+        node_limit: args.value("--node-limit")?,
+        cold: args.flag("--cold")?,
+    };
+    let report_path: Option<String> = args.value("--report")?;
+    args.finish()?;
+
     let (netlist, placement, chara);
-    if let Some(gates) = arg_value(args, "--compose") {
-        let target: usize =
-            gates.parse().map_err(|_| format!("bad gate count in --compose {gates}"))?;
+    if let Some(target) = compose {
         let composed = fbb::netlist::compose("composed", &fbb::netlist::ComposeOptions::with_target(target))
             .map_err(|e| e.to_string())?;
         eprintln!(
@@ -982,40 +990,22 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
             composed.stitch_gates.len()
         );
         let library = Library::date09_45nm();
-        placement = fbb::placement::tile(&composed.netlist, &library, rows)
+        placement = fbb::placement::tile(&composed.netlist, &library, rows.unwrap_or(64))
             .map_err(|e| e.to_string())?;
         chara = date09_characterization(&library)?;
         netlist = composed.netlist;
-    } else if let Some(path) = arg_value(args, "--netlist") {
-        let design = load_design(args, &path)?;
+    } else if let Some(path) = path {
+        let design = load_design(rows, &path)?;
         netlist = design.netlist;
         placement = design.placement;
         chara = design.chara;
-    } else if let Some(name) = arg_value(args, "--design") {
-        let nl = suite::generate(&name)
-            .ok_or_else(|| format!("unknown design {name}; use a Table 1 name"))?;
-        let library = Library::date09_45nm();
-        placement = Placer::new(PlacerOptions::default())
-            .place(&nl, &library)
-            .map_err(|e| e.to_string())?;
-        chara = date09_characterization(&library)?;
-        netlist = nl;
+    } else if let Some(name) = name {
+        netlist = resolve_design(&name)?;
+        (placement, chara) = place_and_characterize(rows, &netlist)?;
     } else {
         return Err("missing --design, --netlist, or --compose".into());
     }
 
-    let grid = fbb::core::SweepGrid {
-        betas: arg_list(args, "--betas", &[0.03, 0.05])?,
-        clusters: arg_list(args, "--clusters", &[2, 3])?,
-        levels: arg_list(args, "--levels", &[6, 11])?,
-    };
-    let options = fbb::core::SweepOptions {
-        time_limit: arg_value(args, "--time-limit")
-            .and_then(|v| v.parse::<f64>().ok())
-            .map(Duration::from_secs_f64),
-        node_limit: arg_value(args, "--node-limit").and_then(|v| v.parse().ok()),
-        cold: arg_flag(args, "--cold"),
-    };
     println!(
         "sweeping {} cells over {} ({} rows, {} mode)",
         grid.cell_count(),
@@ -1045,7 +1035,7 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
         report.model_builds,
         report.pruned
     );
-    if let Some(path) = arg_value(args, "--report") {
+    if let Some(path) = report_path {
         write_sweep_report(&report, &path)?;
         eprintln!("report written to {path}");
     }
@@ -1089,20 +1079,19 @@ fn write_sweep_report(report: &fbb::core::SweepReport, path: &str) -> Result<(),
 /// and drained afterwards; with `--addr` an external daemon is measured
 /// (and left running). The cold baseline is the real thing: child `fbb
 /// solve --netlist X.fbb` processes, decode and all, timed end to end.
-fn bench_serve(args: &[String]) -> Result<(), CliError> {
-    let beta: f64 = arg_value(args, "--beta").and_then(|v| v.parse().ok()).unwrap_or(0.05);
-    let clusters: usize =
-        arg_value(args, "--clusters").and_then(|v| v.parse().ok()).unwrap_or(3);
-    let connections: usize = arg_value(args, "--connections")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-        .max(1);
-    let requests: usize =
-        arg_value(args, "--requests").and_then(|v| v.parse().ok()).unwrap_or(64).max(1);
+fn bench_serve(mut args: Args) -> Result<(), CliError> {
+    let beta: f64 = args.value("--beta")?.unwrap_or(0.05);
+    let clusters: usize = args.value("--clusters")?.unwrap_or(3);
+    let connections = args.value("--connections")?.map_or(4, NonZeroUsize::get);
+    let requests = args.value("--requests")?.map_or(64, NonZeroUsize::get);
+    let path: Option<String> = args.value("--netlist")?;
+    let name = args.value("--design")?.unwrap_or_else(|| "c1355".to_owned());
+    let addr: Option<String> = args.value("--addr")?;
+    args.finish()?;
 
     // The design under test: a user-supplied compiled database, or a Table
     // 1 design compiled in-process at the requested β.
-    let bytes: Vec<u8> = if let Some(path) = arg_value(args, "--netlist") {
+    let bytes: Vec<u8> = if let Some(path) = path {
         let b = read_design_bytes(&path)?;
         if !is_design_db(&b) {
             return Err(format!(
@@ -1112,7 +1101,6 @@ fn bench_serve(args: &[String]) -> Result<(), CliError> {
         }
         b
     } else {
-        let name = arg_value(args, "--design").unwrap_or_else(|| "c1355".to_owned());
         let d = fbb::bench::prepare_design(&name);
         DesignDb::build(
             &format!("bench-serve {name}"),
@@ -1157,7 +1145,7 @@ fn bench_serve(args: &[String]) -> Result<(), CliError> {
 
     // The daemon: external via --addr, or in-process on an ephemeral port.
     let mut inproc = None;
-    let addr = match arg_value(args, "--addr") {
+    let addr = match addr {
         Some(addr) => addr,
         None => {
             let server = Server::bind(&ServeConfig::default())

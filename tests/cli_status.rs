@@ -219,3 +219,41 @@ fn difftest_db_rejects_corruption_that_solve_would_trust() {
     let _ = std::fs::remove_file(&db_path);
     let _ = std::fs::remove_file(&nl);
 }
+
+// ---------------------------------------------------------------------------
+// Strict flag parsing: every malformed invocation exits 1 (never a panic's
+// 101, never a silent default) before doing any work, and stderr names the
+// offending flag.
+
+#[test]
+fn malformed_flags_exit_1_and_name_the_flag() {
+    for (args, flag) in [
+        (&["solve", "--betta", "0.10"][..], "--betta"),
+        (&["solve", "--beta", "abc"][..], "--beta"),
+        (&["solve", "--beta", "0.05", "--beta", "0.10"][..], "--beta"),
+        (&["solve", "--netlist"][..], "--netlist"),
+        (&["sta", "--frobnicate"][..], "--frobnicate"),
+        // An unbindable address: parsing must fail first, never bind and serve.
+        (&["serve", "--addr", "256.0.0.1:0", "--workers", "abc"][..], "--workers"),
+        (&["solve", "--ilp", "--ilp-time-limit", "-1"][..], "--ilp-time-limit"),
+        (&["sweep", "--time-limit", "inf"][..], "--time-limit"),
+        (&["bench-serve", "--connections", "0"][..], "--connections"),
+        (&["compile", "--design", "adder:16", "-o", "/nonexistent/x.fbb", "--betas", "0.05,x"][..], "--betas"),
+    ] {
+        let out = fbb(args);
+        let stderr = text(&out.stderr);
+        assert_eq!(code(&out), 1, "args {args:?}: stderr: {stderr}");
+        assert!(stderr.contains(flag), "args {args:?}: stderr should name {flag}: {stderr}");
+    }
+}
+
+#[test]
+fn solve_verifies_on_the_optimizers_die_strictly() {
+    let nl = adder_netlist("verify");
+    let out = fbb(&["solve", "--netlist", nl.to_str().expect("utf8"), "--rows", "9"]);
+    let stdout = text(&out.stdout);
+    assert_eq!(code(&out), 0, "stderr: {}", text(&out.stderr));
+    let line = stdout.lines().find(|l| l.starts_with("verification:")).expect("verification line");
+    assert!(line.contains("(met; retimed"), "line: {line}");
+    let _ = std::fs::remove_file(nl);
+}
