@@ -10,20 +10,20 @@
 
 use fbb_bench::{format_row, prepare_design, Args};
 use fbb_core::{single_bb, TwoPassHeuristic};
+use fbb_netlist::suite::{self, PaperStats};
 use fbb_placement::layout::{self, LayoutOptions};
 
 // `--cleanup PCT` applies the well-separation cleanup post-pass (an
 // extension beyond the paper) with a PCT% leakage budget before analysis.
 
 fn main() {
-    let (show_layout, cleanup, only): (bool, Option<f64>, Option<String>) = Args::parse_env(|a| {
+    let (show_layout, cleanup, only): (bool, Option<f64>, Option<PaperStats>) = Args::parse_env(|a| {
         Ok((a.flag("--layout")?, a.value("--cleanup")?, a.value("--design")?))
     });
-    let designs: Vec<String> = only.map(|d| vec![d]).unwrap_or_else(|| {
-        ["c1355", "c3540", "c5315", "c7552", "adder_128bits", "c6288", "Industrial1"]
-            .map(str::to_owned)
-            .to_vec()
-    });
+    let designs: &[&str] = match &only {
+        Some(stats) => std::slice::from_ref(&stats.name),
+        None => suite::ilp_tractable_names(),
+    };
 
     let opts = LayoutOptions::default();
     let widths = [14usize, 5, 9, 10, 12, 11, 10];
@@ -43,7 +43,7 @@ fn main() {
         )
     );
 
-    for name in &designs {
+    for &name in designs {
         let design = prepare_design(name);
         for beta in [0.05, 0.10] {
             let pre = design.preprocess(beta, 3);
@@ -63,7 +63,7 @@ fn main() {
                 "{}",
                 format_row(
                     &[
-                        name.clone(),
+                        name.to_owned(),
                         format!("{:.0}%", beta * 100.0),
                         analysis.well_separations.to_string(),
                         format!("{:.2}", analysis.area_overhead_pct()),

@@ -9,13 +9,14 @@
 
 use fbb_bench::{format_row, prepare_design, Args};
 use fbb_core::{single_bb, TwoPassHeuristic};
+use fbb_netlist::suite::PaperStats;
 
 fn main() {
-    let (name, beta): (String, f64) = Args::parse_env(|a| {
-        Ok((a.value("--design")?.unwrap_or_else(|| "c5315".into()), a.value("--beta")?.unwrap_or(0.05)))
+    let (name, beta): (&str, f64) = Args::parse_env(|a| {
+        Ok((a.value("--design")?.map_or("c5315", |d: PaperStats| d.name), a.value("--beta")?.unwrap_or(0.05)))
     });
 
-    let design = prepare_design(&name);
+    let design = prepare_design(name);
     println!("{name} @ beta = {:.0}%: heuristic savings vs single BB\n", beta * 100.0);
     let widths = [4usize, 10, 10, 12];
     println!(

@@ -5,17 +5,18 @@
 //! used to sanity-check that generated benchmarks have paper-like structure.
 
 use fbb_bench::{prepare_design, run_allocation, Args};
+use fbb_netlist::suite::PaperStats;
 
 fn main() {
-    let (name, beta, c): (String, f64, usize) = Args::parse_env(|a| {
+    let (name, beta, c): (&str, f64, usize) = Args::parse_env(|a| {
         Ok((
-            a.value("--design")?.unwrap_or_else(|| "c3540".into()),
+            a.value("--design")?.map_or("c3540", |d: PaperStats| d.name),
             a.value("--beta")?.unwrap_or(0.05),
             a.value("--clusters")?.unwrap_or(3),
         ))
     });
 
-    let design = prepare_design(&name);
+    let design = prepare_design(name);
     let pre = design.preprocess(beta, c);
     println!("{}: {} rows, {} levels, Dcrit {:.1} ps, M = {}", name, pre.n_rows, pre.levels, pre.dcrit_ps, pre.paths.len());
 

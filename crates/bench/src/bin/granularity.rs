@@ -10,14 +10,15 @@
 
 use fbb_bench::{format_row, prepare_design, Args};
 use fbb_core::{single_bb, FbbProblem, Granularity, TwoPassHeuristic};
+use fbb_netlist::suite::PaperStats;
 use fbb_placement::layout::{self, LayoutOptions};
 
 fn main() {
-    let (name, beta): (String, f64) = Args::parse_env(|a| {
-        Ok((a.value("--design")?.unwrap_or_else(|| "c3540".into()), a.value("--beta")?.unwrap_or(0.10)))
+    let (name, beta): (&str, f64) = Args::parse_env(|a| {
+        Ok((a.value("--design")?.map_or("c3540", |d: PaperStats| d.name), a.value("--beta")?.unwrap_or(0.10)))
     });
 
-    let design = prepare_design(&name);
+    let design = prepare_design(name);
     let opts = LayoutOptions::default();
     println!(
         "{name} @ beta = {:.0}%, C = 3: clustering granularity comparison\n",

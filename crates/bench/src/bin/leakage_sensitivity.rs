@@ -10,16 +10,16 @@
 use fbb_bench::{format_row, Args};
 use fbb_core::{single_bb, FbbProblem, TwoPassHeuristic};
 use fbb_device::{BiasLadder, BiasVoltage, BodyBiasModel, Library};
-use fbb_netlist::suite;
+use fbb_netlist::suite::{self, PaperStats};
 use fbb_placement::{Placer, PlacerOptions};
 
 fn main() {
-    let (name, beta): (String, f64) = Args::parse_env(|a| {
-        Ok((a.value("--design")?.unwrap_or_else(|| "c5315".into()), a.value("--beta")?.unwrap_or(0.10)))
+    let (name, beta): (&str, f64) = Args::parse_env(|a| {
+        Ok((a.value("--design")?.map_or("c5315", |d: PaperStats| d.name), a.value("--beta")?.unwrap_or(0.10)))
     });
 
-    let netlist = suite::generate(&name).expect("table 1 design");
-    let stats = suite::PAPER_TABLE1.iter().find(|s| s.name == name).expect("table 1 design");
+    let netlist = suite::generate(name).expect("table 1 design");
+    let stats: PaperStats = name.parse().expect("table 1 design");
     let library = Library::date09_45nm();
     let placement = Placer::new(PlacerOptions::with_target_rows(stats.rows as u32))
         .place(&netlist, &library)

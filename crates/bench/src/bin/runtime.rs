@@ -11,18 +11,18 @@
 use std::time::{Duration, Instant};
 
 use fbb_bench::{format_row, prepare_design, run_allocation, Args};
+use fbb_netlist::suite::{self, PaperStats};
 
 fn main() {
-    let (beta, c, limit, designs): (f64, usize, Duration, Vec<String>) = Args::parse_env(|a| {
+    let (beta, c, limit, designs): (f64, usize, Duration, Vec<&str>) = Args::parse_env(|a| {
         Ok((
             a.value("--beta")?.unwrap_or(0.10),
             a.value("--clusters")?.unwrap_or(2),
             a.seconds("--ilp-time-limit")?.unwrap_or(Duration::from_secs(60)),
-            a.list("--designs")?.unwrap_or_else(|| {
-                ["c1355", "c3540", "c5315", "c7552", "adder_128bits", "c6288", "Industrial1"]
-                    .map(str::to_owned)
-                    .to_vec()
-            }),
+            a.list::<PaperStats>("--designs")?.map_or_else(
+                || suite::ilp_tractable_names().to_vec(),
+                |v| v.iter().map(|s| s.name).collect(),
+            ),
         ))
     });
 
@@ -43,7 +43,7 @@ fn main() {
         )
     );
 
-    for name in &designs {
+    for name in designs {
         let design = prepare_design(name);
         let pre = design.preprocess(beta, c);
         // Time the heuristic alone (run_allocation also runs the baseline).
@@ -58,7 +58,7 @@ fn main() {
             "{}",
             format_row(
                 &[
-                    name.clone(),
+                    name.to_owned(),
                     pre.n_rows.to_string(),
                     format!("{heur_ms:.2}"),
                     format!("{ilp_ms:.1}"),

@@ -13,26 +13,21 @@
 //! ```
 
 use fbb_bench::{prepare_design, Args};
-use fbb_core::{FbbProblem, TwoPassHeuristic};
-use fbb_netlist::GateId;
+use fbb_core::{TunedDie, TwoPassHeuristic};
+use fbb_netlist::suite::PaperStats;
 use fbb_sta::ssta::CanonicalDelay;
-use fbb_sta::TimingGraph;
 use fbb_variation::{CriticalPathSensor, ProcessVariation};
 
 fn main() {
-    let (name, dies): (String, usize) = Args::parse_env(|a| {
-        Ok((a.value("--design")?.unwrap_or_else(|| "c3540".into()), a.value("--dies")?.unwrap_or(40)))
+    let (name, dies): (&str, usize) = Args::parse_env(|a| {
+        Ok((a.value("--design")?.map_or("c3540", |d: PaperStats| d.name), a.value("--dies")?.unwrap_or(40)))
     });
 
-    let design = prepare_design(&name);
-    let graph = TimingGraph::new(&design.netlist).expect("acyclic");
-    let nominal: Vec<f64> = design
-        .netlist
-        .gates()
-        .iter()
-        .map(|g| design.characterization.delay_ps(g.cell, 0))
-        .collect();
-    let nominal_dcrit = graph.analyze(&nominal).dcrit_ps();
+    let design = prepare_design(name);
+    let tuned_die = TunedDie::new(&design.netlist, &design.placement, &design.characterization)
+        .expect("placed suite design");
+    let (graph, nominal) = (tuned_die.graph(), tuned_die.nominal_delays());
+    let nominal_dcrit = graph.analyze(nominal).dcrit_ps();
     let nominal_leak: f64 = design
         .netlist
         .gates()
@@ -66,17 +61,13 @@ fn main() {
     );
 
     // --- Post-silicon clustered-FBB tuning ---------------------------------
-    let positions: Vec<(f64, f64)> = (0..design.netlist.gate_count())
-        .map(|i| design.placement.position_um(GateId::from_index(i)))
-        .collect();
-    let extent = (design.placement.die().width_um(), design.placement.die().height_um());
     let sensor = CriticalPathSensor::default();
     let mut rescued = 0usize;
     let mut native_pass = 0usize;
     let mut leak_sum = 0.0;
     for die_idx in 0..dies {
-        let die = pv.sample(0x55A + die_idx as u64, &positions, extent);
-        let degraded = die.apply(&nominal);
+        let die = pv.sample_placed(0x55A + die_idx as u64, &design.placement);
+        let degraded = die.apply(nominal);
         let observed = graph.analyze(&degraded).dcrit_ps();
         if observed <= nominal_dcrit {
             native_pass += 1;
@@ -84,27 +75,10 @@ fn main() {
             continue;
         }
         let beta = sensor.measure_beta(nominal_dcrit, observed).min(0.10);
-        let pre = FbbProblem::new(
-            &design.netlist,
-            &design.placement,
-            &design.characterization,
-            beta,
-            3,
-        )
-        .expect("valid")
-        .preprocess()
-        .expect("acyclic");
+        let pre = design.preprocess(beta, 3);
         if let Ok(sol) = TwoPassHeuristic::default().solve(&pre) {
             // Verify on the true per-gate degradation.
-            let tuned: Vec<f64> = degraded
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| {
-                    let row = design.placement.row_of(GateId::from_index(i)).index();
-                    d * (1.0 - design.characterization.speedup_fraction(sol.assignment[row]))
-                })
-                .collect();
-            if graph.analyze(&tuned).dcrit_ps() <= nominal_dcrit * 1.0005 {
+            if tuned_die.judge(&degraded, nominal_dcrit, &sol.assignment).met() {
                 rescued += 1;
                 leak_sum += sol.leakage_nw;
             }

@@ -16,14 +16,13 @@
 use std::time::Duration;
 
 use fbb_bench::{format_row, prepare_design, run_allocation, Args};
-use fbb_netlist::suite;
+use fbb_netlist::suite::{self, PaperStats};
 
 fn main() {
-    let (designs, time_limit, no_ilp, force_ilp): (Vec<String>, Duration, bool, bool) =
+    let (designs, time_limit, no_ilp, force_ilp): (Vec<PaperStats>, Duration, bool, bool) =
         Args::parse_env(|a| {
             Ok((
-                a.list("--designs")?
-                    .unwrap_or_else(|| suite::PAPER_TABLE1.iter().map(|s| s.name.to_owned()).collect()),
+                a.list("--designs")?.unwrap_or_else(|| suite::PAPER_TABLE1.to_vec()),
                 a.seconds("--ilp-time-limit")?.unwrap_or(Duration::from_secs(120)),
                 a.flag("--no-ilp")?,
                 a.flag("--force-ilp")?,
@@ -39,7 +38,8 @@ fn main() {
     println!("{}", format_row(&header, &widths));
     println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
 
-    for name in &designs {
+    for stats in designs {
+        let name = stats.name;
         let design = prepare_design(name);
         // Like the paper ("the ILP did not converge in a specified amount of
         // time" for Industrial2/3), the exact solver is skipped for blocks
@@ -48,7 +48,7 @@ fn main() {
         for (bi, beta) in [0.05f64, 0.10].into_iter().enumerate() {
             let mut cells = Vec::new();
             if bi == 0 {
-                cells.push(name.clone());
+                cells.push(name.to_owned());
                 cells.push(design.netlist.gate_count().to_string());
                 cells.push(design.placement.row_count().to_string());
             } else {
@@ -89,25 +89,23 @@ fn main() {
             println!("{}", format_row(&cells, &widths));
         }
         // Paper reference values for side-by-side comparison.
-        if let Some(stats) = suite::PAPER_TABLE1.iter().find(|s| s.name == *name) {
-            for (bi, beta_label) in ["5%", "10%"].iter().enumerate() {
-                let ilp = stats.ilp_savings.map_or(["-".into(), "-".into()], |s| {
-                    [format!("{:.2}%", s[bi * 2]), format!("{:.2}%", s[bi * 2 + 1])]
-                });
-                let cells = vec![
-                    format!("  (paper)"),
-                    stats.gates.to_string(),
-                    stats.rows.to_string(),
-                    beta_label.to_string(),
-                    format!("{:.2}", stats.single_bb_uw[bi]),
-                    ilp[0].clone(),
-                    ilp[1].clone(),
-                    format!("{:.2}%", stats.heuristic_savings[bi * 2]),
-                    format!("{:.2}%", stats.heuristic_savings[bi * 2 + 1]),
-                    stats.constraints[bi].to_string(),
-                ];
-                println!("{}", format_row(&cells, &widths));
-            }
+        for (bi, beta_label) in ["5%", "10%"].iter().enumerate() {
+            let ilp = stats.ilp_savings.map_or(["-".into(), "-".into()], |s| {
+                [format!("{:.2}%", s[bi * 2]), format!("{:.2}%", s[bi * 2 + 1])]
+            });
+            let cells = vec![
+                format!("  (paper)"),
+                stats.gates.to_string(),
+                stats.rows.to_string(),
+                beta_label.to_string(),
+                format!("{:.2}", stats.single_bb_uw[bi]),
+                ilp[0].clone(),
+                ilp[1].clone(),
+                format!("{:.2}%", stats.heuristic_savings[bi * 2]),
+                format!("{:.2}%", stats.heuristic_savings[bi * 2 + 1]),
+                stats.constraints[bi].to_string(),
+            ];
+            println!("{}", format_row(&cells, &widths));
         }
         println!();
     }

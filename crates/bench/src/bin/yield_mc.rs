@@ -10,35 +10,25 @@
 //! ```
 
 use fbb_bench::{prepare_design, Args};
-use fbb_core::{FbbProblem, TwoPassHeuristic};
-use fbb_netlist::GateId;
-use fbb_sta::TimingGraph;
+use fbb_core::{TunedDie, TwoPassHeuristic};
+use fbb_netlist::suite::PaperStats;
 use fbb_variation::{CriticalPathSensor, ProcessVariation};
 
 fn main() {
-    let (name, dies, seed): (String, usize, u64) = Args::parse_env(|a| {
+    let (name, dies, seed): (&str, usize, u64) = Args::parse_env(|a| {
         Ok((
-            a.value("--design")?.unwrap_or_else(|| "c3540".into()),
+            a.value("--design")?.map_or("c3540", |d: PaperStats| d.name),
             a.value("--dies")?.unwrap_or(40),
             a.value("--seed")?.unwrap_or(0xD1E5),
         ))
     });
 
-    let design = prepare_design(&name);
-    let graph = TimingGraph::new(&design.netlist).expect("acyclic");
-    let nominal: Vec<f64> = design
-        .netlist
-        .gates()
-        .iter()
-        .map(|g| design.characterization.delay_ps(g.cell, 0))
-        .collect();
-    let nominal_dcrit = graph.analyze(&nominal).dcrit_ps();
-    let clock = nominal_dcrit; // sign off exactly at the nominal critical delay
+    let design = prepare_design(name);
+    let tuned_die = TunedDie::new(&design.netlist, &design.placement, &design.characterization)
+        .expect("placed suite design");
+    let (graph, nominal) = (tuned_die.graph(), tuned_die.nominal_delays());
+    let clock = graph.analyze(nominal).dcrit_ps(); // sign off at the nominal Dcrit
 
-    let positions: Vec<(f64, f64)> = (0..design.netlist.gate_count())
-        .map(|i| design.placement.position_um(GateId::from_index(i)))
-        .collect();
-    let extent = (design.placement.die().width_um(), design.placement.die().height_um());
     let pv = ProcessVariation::slow_corner_45nm();
     let sensor = CriticalPathSensor::default();
 
@@ -48,8 +38,8 @@ fn main() {
     let mut leak_single = 0.0f64;
     let mut uncompensable = 0usize;
     for die_idx in 0..dies {
-        let die = pv.sample(seed.wrapping_add(die_idx as u64), &positions, extent);
-        let degraded = die.apply(&nominal);
+        let die = pv.sample_placed(seed.wrapping_add(die_idx as u64), &design.placement);
+        let degraded = die.apply(nominal);
         let observed = graph.analyze(&degraded).dcrit_ps();
         if observed <= clock {
             pass_raw += 1;
@@ -58,18 +48,8 @@ fn main() {
         }
         // Post-silicon calibration: sense beta, allocate, apply, re-check
         // against the *actual* per-gate degradation.
-        let beta = sensor.measure_beta(nominal_dcrit, observed);
-        let problem = match FbbProblem::new(
-            &design.netlist,
-            &design.placement,
-            &design.characterization,
-            beta.min(0.12),
-            3,
-        ) {
-            Ok(p) => p,
-            Err(_) => continue,
-        };
-        let pre = problem.preprocess().expect("acyclic");
+        let beta = sensor.measure_beta(clock, observed);
+        let pre = design.preprocess(beta.min(0.12), 3);
         let (Ok(sol), Ok(baseline)) =
             (TwoPassHeuristic::default().solve(&pre), fbb_core::single_bb(&pre))
         else {
@@ -77,18 +57,7 @@ fn main() {
             continue;
         };
         // True silicon check: speed up each gate by its row's bias level.
-        let speedup: Vec<f64> =
-            (0..pre.levels).map(|j| design.characterization.speedup_fraction(j)).collect();
-        let tuned: Vec<f64> = degraded
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| {
-                let row = design.placement.row_of(GateId::from_index(i)).index();
-                d * (1.0 - speedup[sol.assignment[row]])
-            })
-            .collect();
-        let tuned_dcrit = graph.analyze(&tuned).dcrit_ps();
-        if tuned_dcrit <= clock * 1.0005 {
+        if tuned_die.judge(&degraded, clock, &sol.assignment).met() {
             pass_comp += 1;
             leak_comp += sol.leakage_nw;
             leak_single += baseline.leakage_nw;

@@ -32,13 +32,12 @@ pub struct PreparedDesign {
 ///
 /// # Panics
 ///
-/// Panics if `name` is not a Table 1 design or the placer fails (both are
-/// covered by the suite's tests, so a failure here is a programming error).
+/// Panics if `name` is not a Table 1 design (parse a user-supplied name as
+/// [`PaperStats`] first, which fails with a message naming it) or the
+/// placer fails (covered by the suite's tests, so a failure here is a
+/// programming error).
 pub fn prepare_design(name: &str) -> PreparedDesign {
-    let stats = *suite::PAPER_TABLE1
-        .iter()
-        .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("{name} is not a Table 1 design"));
+    let stats: PaperStats = name.parse().unwrap_or_else(|e| panic!("{e}"));
     let netlist = suite::generate(name).expect("suite name");
     let library = Library::date09_45nm();
     // Array datapaths (the multiplier and the wide adder) place as

@@ -18,7 +18,9 @@
 //!   [`fbb_lp`]'s branch & bound, optionally warm-started by the heuristic;
 //! * [`single_bb`] — the block-level single-voltage baseline every Table 1
 //!   column is measured against;
-//! * [`tuning`] — the multi-block tuning architecture of Fig. 2.
+//! * [`tuning`] — the multi-block tuning architecture of Fig. 2;
+//! * [`verify`] — the delay model ([`nominal_delays`]) and the strict
+//!   full-STA verifier ([`TunedDie`]) every reported answer goes through.
 //!
 //! The allocator hot loops (PassOne's level scan, PassTwo's per-budget
 //! candidate ranking, and ILP constraint generation) run on the std-only
@@ -61,6 +63,7 @@ mod problem;
 mod solution;
 pub mod sweep;
 pub mod tuning;
+pub mod verify;
 
 pub use baseline::single_bb;
 pub use check::{check_timing, CheckState};
@@ -70,3 +73,4 @@ pub use ilp::{IlpAllocator, IlpOutcome};
 pub use problem::{FbbProblem, Granularity, PathConstraint, Preprocessed};
 pub use solution::ClusterSolution;
 pub use sweep::{run_sweep, SweepCell, SweepGrid, SweepOptions, SweepReport, SweepStatus};
+pub use verify::{nominal_delays, TunedDie, Verdict};

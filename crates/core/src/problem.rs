@@ -47,7 +47,6 @@ pub struct FbbProblem<'a> {
     characterization: &'a Characterization,
     beta: f64,
     max_clusters: usize,
-    instance_jitter: f64,
 }
 
 impl<'a> FbbProblem<'a> {
@@ -84,25 +83,7 @@ impl<'a> FbbProblem<'a> {
             characterization,
             beta,
             max_clusters,
-            instance_jitter: 0.05,
         })
-    }
-
-    /// Sets the per-instance delay jitter amplitude (default 5 %).
-    ///
-    /// Library characterization gives every instance of a cell the same
-    /// delay, which collapses the worst-path multiplicity real designs have
-    /// (interconnect and fanout loading make every instance slightly
-    /// different). A deterministic ±`amplitude` perturbation per gate id
-    /// restores that diversity; `0.0` disables it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `amplitude` is not within `[0, 0.5]`.
-    pub fn with_instance_jitter(mut self, amplitude: f64) -> Self {
-        assert!((0.0..=0.5).contains(&amplitude), "jitter amplitude outside [0, 0.5]");
-        self.instance_jitter = amplitude;
-        self
     }
 
     /// The slowdown coefficient β.
@@ -115,25 +96,10 @@ impl<'a> FbbProblem<'a> {
         self.max_clusters
     }
 
-    /// The nominal (NBB) per-gate delay vector the pre-processing analyzes:
-    /// library delays at level 0 with the deterministic per-instance loading
-    /// perturbation of [`FbbProblem::with_instance_jitter`] applied.
-    ///
-    /// Exposed so design databases can persist the exact STA input and later
-    /// cross-check stored timing against it.
+    /// The nominal (NBB) per-gate delay vector the pre-processing
+    /// analyzes: [`crate::verify::nominal_delays`] of this problem's design.
     pub fn nominal_delays(&self) -> Vec<f64> {
-        self.netlist
-            .gates()
-            .iter()
-            .enumerate()
-            .map(|(i, g)| {
-                // Weyl-sequence hash in [-1, 1).
-                let h = ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64
-                    / (1u64 << 53) as f64;
-                self.characterization.delay_ps(g.cell, 0)
-                    * (1.0 + self.instance_jitter * (2.0 * h - 1.0))
-            })
-            .collect()
+        crate::verify::nominal_delays(self.netlist, self.characterization)
     }
 
     /// Runs the paper's pre-processing: nominal STA, critical-path-set
@@ -171,8 +137,7 @@ impl<'a> FbbProblem<'a> {
             Granularity::Gate => self.netlist.gate_count(),
         };
 
-        // Nominal (NBB) per-gate delays, with a deterministic per-instance
-        // loading perturbation (see [`FbbProblem::with_instance_jitter`]).
+        // Nominal (NBB) per-gate delays, jitter included.
         let nominal: Vec<f64> = self.nominal_delays();
 
         let graph = TimingGraph::new(self.netlist)?;
@@ -194,11 +159,8 @@ impl<'a> FbbProblem<'a> {
         let mut paths = Vec::new();
         let mut row_criticality = vec![0.0f64; n_rows];
         let slack_floor = (dcrit * 1e-3).max(1e-6);
-        for path in analysis.critical_path_set() {
+        for path in analysis.constrained_path_set(self.beta) {
             let degraded = path.delay_ps * (1.0 + self.beta);
-            if degraded <= dcrit + 1e-9 {
-                continue;
-            }
             // Group the path's gates by row; reduction of row i at level j is
             // sum over its gates of degraded_gate_delay * speedup_j.
             let mut per_row: Vec<(usize, f64, usize)> = Vec::new(); // (row, delay sum, gate count)

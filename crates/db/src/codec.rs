@@ -627,12 +627,9 @@ mod tests {
 
     #[test]
     fn timing_roundtrip() {
-        use fbb_core::FbbProblem;
-        use fbb_sta::TimingGraph;
-        let (nl, p, c) = small_design();
-        let problem = FbbProblem::new(&nl, &p, &c, 0.05, 3).unwrap();
-        let delays = problem.nominal_delays();
-        let graph = TimingGraph::new(&nl).unwrap();
+        let (nl, _, c) = small_design();
+        let delays = fbb_core::nominal_delays(&nl, &c);
+        let graph = fbb_sta::TimingGraph::new(&nl).unwrap();
         let analysis = graph.analyze(&delays);
         let paths = analysis.critical_path_set();
         let bytes = encode_timing(&delays, analysis.dcrit_ps(), &paths);
@@ -644,9 +641,8 @@ mod tests {
 
     #[test]
     fn timing_rejects_inconsistent_path_delay() {
-        let (nl, p, c) = small_design();
-        let problem = fbb_core::FbbProblem::new(&nl, &p, &c, 0.05, 3).unwrap();
-        let delays = problem.nominal_delays();
+        let (nl, _, c) = small_design();
+        let delays = fbb_core::nominal_delays(&nl, &c);
         let graph = fbb_sta::TimingGraph::new(&nl).unwrap();
         let analysis = graph.analyze(&delays);
         let mut paths = analysis.critical_path_set();

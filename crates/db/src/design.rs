@@ -4,7 +4,7 @@
 
 use std::path::Path;
 
-use fbb_core::{FbbError, FbbProblem, Granularity, Preprocessed};
+use fbb_core::{nominal_delays, FbbError, FbbProblem, Granularity, Preprocessed};
 use fbb_device::Characterization;
 use fbb_netlist::Netlist;
 use fbb_placement::Placement;
@@ -103,27 +103,22 @@ impl DesignDb {
             return Err(FbbError::InvalidProblem("at least one granularity is required".into()));
         }
         let mut entries = Vec::with_capacity(betas.len() * granularities.len());
-        let mut timing = None;
         for &beta in betas {
             let problem = FbbProblem::new(netlist, placement, characterization, beta, max_clusters)?;
-            if timing.is_none() {
-                // The delay vector and path set are β-independent; compute
-                // them once from the first problem.
-                let delays = problem.nominal_delays();
-                let graph = TimingGraph::new(netlist).map_err(FbbError::Netlist)?;
-                let analysis = graph.analyze(&delays);
-                timing = Some(TimingTables {
-                    delays_ps: delays,
-                    dcrit_ps: analysis.dcrit_ps(),
-                    paths: analysis.critical_path_set(),
-                });
-            }
             for &granularity in granularities {
                 let pre = problem.preprocess_at(granularity)?;
                 entries.push(PreparedEntry { granularity, pre });
             }
         }
-        let timing = timing.expect("betas is non-empty, so timing was computed");
+        // The delay vector and path set are β-independent.
+        let delays = nominal_delays(netlist, characterization);
+        let graph = TimingGraph::new(netlist).map_err(FbbError::Netlist)?;
+        let analysis = graph.analyze(&delays);
+        let timing = TimingTables {
+            dcrit_ps: analysis.dcrit_ps(),
+            paths: analysis.critical_path_set(),
+            delays_ps: delays,
+        };
         entries.sort_by_key(entry_key);
         entries.dedup_by_key(|e| entry_key(e));
         Ok(DesignDb {

@@ -214,11 +214,6 @@ impl Characterization {
     pub fn speedup_fraction(&self, level: usize) -> f64 {
         self.speedup[level]
     }
-
-    /// Absolute delay reduction of `cell` when moved from NBB to `level`, ps.
-    pub fn delay_reduction_ps(&self, cell: Cell, level: usize) -> f64 {
-        self.delay_ps(cell, 0) - self.delay_ps(cell, level)
-    }
 }
 
 #[cfg(test)]
@@ -279,9 +274,7 @@ mod tests {
     fn delay_reduction_is_consistent() {
         let c = chara();
         let cell = Cell::new(CellKind::Nand2, DriveStrength::X1);
-        let red = c.delay_reduction_ps(cell, 10);
-        assert!((red - (c.delay_ps(cell, 0) - c.delay_ps(cell, 10))).abs() < 1e-12);
-        assert!(red > 0.0);
+        assert!(c.delay_ps(cell, 10) < c.delay_ps(cell, 0));
     }
 
     #[test]

@@ -36,7 +36,7 @@ proptest! {
         let expect_leak = library.nbb_leakage_nw(cell) * model.leakage_multiplier(v);
         prop_assert!((chara.delay_ps(cell, level) - expect_delay).abs() < 1e-9);
         prop_assert!((chara.leakage_nw(cell, level) - expect_leak).abs() < 1e-9);
-        prop_assert!(chara.delay_reduction_ps(cell, level) >= -1e-12);
+        prop_assert!(chara.delay_ps(cell, 0) - chara.delay_ps(cell, level) >= -1e-12);
     }
 
     #[test]

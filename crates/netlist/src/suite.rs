@@ -29,6 +29,19 @@ pub struct PaperStats {
     pub heuristic_savings: [f64; 4],
 }
 
+impl std::str::FromStr for PaperStats {
+    type Err = String;
+
+    /// Looks up a Table 1 design by name; the error names it and lists the
+    /// valid names, so a `--design` flag rejects a typo before any work.
+    fn from_str(name: &str) -> Result<Self, String> {
+        PAPER_TABLE1.iter().find(|s| s.name == name).copied().ok_or_else(|| {
+            let names: Vec<&str> = PAPER_TABLE1.iter().map(|s| s.name).collect();
+            format!("{name} is not a Table 1 design; use one of {}", names.join(", "))
+        })
+    }
+}
+
 /// The Table 1 rows exactly as published.
 pub const PAPER_TABLE1: [PaperStats; 9] = [
     PaperStats {
@@ -234,5 +247,8 @@ mod tests {
     #[test]
     fn unknown_design_is_none() {
         assert!(generate("c17").is_none());
+        assert_eq!("c6288".parse::<PaperStats>().map(|s| s.name), Ok("c6288"));
+        let err = "adder:16".parse::<PaperStats>().unwrap_err();
+        assert!(err.starts_with("adder:16 is not a Table 1 design; use one of c1355,"), "{err}");
     }
 }

@@ -132,6 +132,11 @@ impl Placement {
         (x, y)
     }
 
+    /// Centre coordinates of every gate in micrometres, in gate-id order.
+    pub fn positions_um(&self) -> Vec<(f64, f64)> {
+        (0..self.gates.len()).map(|i| self.position_um(GateId::from_index(i))).collect()
+    }
+
     /// Utilization of one row (occupied fraction of its sites).
     pub fn row_utilization(&self, row: RowId) -> f64 {
         f64::from(self.rows[row.index()].used_sites) / f64::from(self.die.sites_per_row)

@@ -133,15 +133,11 @@ impl TimingAnalysis<'_, '_> {
         paths
     }
 
-    /// Like [`TimingAnalysis::critical_path_set`], but keeps only paths whose
-    /// delay degraded by the slowdown coefficient `beta` would violate
-    /// `Dcrit` — exactly the constraint set (`No.Constr`) of the paper:
-    /// `pd · (1 + β) > Dcrit`.
+    /// Like [`TimingAnalysis::critical_path_set`], but keeps only the paths
+    /// that [`TimingPath::violates`] `Dcrit` at slowdown `beta`: exactly
+    /// the constraint set (`No.Constr`) of the paper.
     pub fn constrained_path_set(&self, beta: f64) -> Vec<TimingPath> {
-        self.critical_path_set()
-            .into_iter()
-            .filter(|p| p.delay_ps * (1.0 + beta) > self.dcrit + 1e-9)
-            .collect()
+        self.critical_path_set().into_iter().filter(|p| p.violates(beta, self.dcrit)).collect()
     }
 
     /// The delay assignment this analysis was computed for.

@@ -24,6 +24,13 @@ impl TimingPath {
         required_ps - self.delay_ps
     }
 
+    /// Whether the path, slowed by `beta`, violates `dcrit_ps`: the paper's
+    /// constraint filter `pd · (1 + β) > Dcrit`, the one definition of the
+    /// allocator's constraint count (`No.Constr`).
+    pub fn violates(&self, beta: f64, dcrit_ps: f64) -> bool {
+        self.delay_ps * (1.0 + beta) > dcrit_ps + 1e-9
+    }
+
     /// Number of gates on the path.
     pub fn len(&self) -> usize {
         self.gates.len()

@@ -56,10 +56,6 @@ impl<'a> MonteCarloYield<'a> {
     ) -> Result<YieldEstimate, fbb_netlist::NetlistError> {
         let graph = TimingGraph::new(self.netlist)?;
         let nominal_dcrit = graph.analyze(self.nominal_delays).dcrit_ps();
-        let positions: Vec<(f64, f64)> = (0..self.netlist.gate_count())
-            .map(|i| self.placement.position_um(fbb_netlist::GateId::from_index(i)))
-            .collect();
-        let extent = (self.placement.die().width_um(), self.placement.die().height_um());
 
         // Each die is seeded from its own sample index, so the samples are
         // independent and evaluated across the worker pool; results come
@@ -67,7 +63,7 @@ impl<'a> MonteCarloYield<'a> {
         // serial loop for a given seed.
         let _mc_span = fbb_telemetry::span("mc_estimate");
         let dcrits = fbb_sta::par::parallel_gen(samples, |s| {
-            let die = variation.sample(seed.wrapping_add(s as u64), &positions, extent);
+            let die = variation.sample_placed(seed.wrapping_add(s as u64), self.placement);
             let delays = die.apply(self.nominal_delays);
             graph.analyze(&delays).dcrit_ps()
         });

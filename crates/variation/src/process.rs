@@ -1,5 +1,6 @@
 //! Process-variation sampling.
 
+use fbb_placement::Placement;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -49,6 +50,13 @@ impl ProcessVariation {
     /// A typical (centered) population.
     pub fn typical_45nm() -> Self {
         ProcessVariation { d2d_mean: 0.0, ..Self::slow_corner_45nm() }
+    }
+
+    /// Samples one die of a placed design: [`ProcessVariation::sample`] at
+    /// every gate's centre, over the placement's die.
+    pub fn sample_placed(&self, seed: u64, placement: &Placement) -> DieSample {
+        let die = placement.die();
+        self.sample(seed, &placement.positions_um(), (die.width_um(), die.height_um()))
     }
 
     /// Samples one die: `positions[i]` is gate `i`'s (x, y) in micrometres,

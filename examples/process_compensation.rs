@@ -7,11 +7,10 @@
 //! cargo run --release --example process_compensation
 //! ```
 
-use fbb::core::{single_bb, FbbProblem, TwoPassHeuristic};
+use fbb::core::{single_bb, FbbProblem, TunedDie, TwoPassHeuristic};
 use fbb::device::{BiasLadder, BodyBiasModel, Library};
-use fbb::netlist::{generators, GateId};
+use fbb::netlist::generators;
 use fbb::placement::{Placer, PlacerOptions};
-use fbb::sta::TimingGraph;
 use fbb::variation::{CriticalPathSensor, ProcessVariation};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,20 +21,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let placement =
         Placer::new(PlacerOptions::with_target_rows(15)).place(&netlist, &library)?;
 
-    // Nominal timing sign-off.
-    let graph = TimingGraph::new(&netlist)?;
-    let nominal: Vec<f64> =
-        netlist.gates().iter().map(|g| characterization.delay_ps(g.cell, 0)).collect();
-    let clock_ps = graph.analyze(&nominal).dcrit_ps();
+    // Nominal timing sign-off, on the delay model the optimizer uses.
+    let tuned_die = TunedDie::new(&netlist, &placement, &characterization)?;
+    let (graph, nominal) = (tuned_die.graph(), tuned_die.nominal_delays());
+    let clock_ps = graph.analyze(nominal).dcrit_ps();
     println!("nominal Dcrit (= clock): {clock_ps:.1} ps");
 
     // Fabricate a die from a slow-corner population.
     let variation = ProcessVariation::slow_corner_45nm();
-    let positions: Vec<(f64, f64)> =
-        (0..netlist.gate_count()).map(|i| placement.position_um(GateId::from_index(i))).collect();
-    let extent = (placement.die().width_um(), placement.die().height_um());
-    let die = variation.sample(42, &positions, extent);
-    let degraded = die.apply(&nominal);
+    let die = variation.sample_placed(42, &placement);
+    let degraded = die.apply(nominal);
     let observed = graph.analyze(&degraded).dcrit_ps();
     println!(
         "fabricated die: Dcrit = {observed:.1} ps ({:+.1}% vs nominal) — {}",
@@ -49,8 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("sensor reads beta = {:.1}%", beta * 100.0);
 
     // Allocate clustered FBB for the sensed slowdown.
-    let problem = FbbProblem::new(&netlist, &placement, &characterization, beta, 3)?;
-    let pre = problem.preprocess()?;
+    let pre = FbbProblem::new(&netlist, &placement, &characterization, beta, 3)?.preprocess()?;
     let baseline = single_bb(&pre)?;
     let solution = TwoPassHeuristic::default().solve(&pre)?;
     println!(
@@ -61,19 +55,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Apply the biases to the real (per-gate) degraded silicon and re-check.
-    let tuned: Vec<f64> = degraded
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| {
-            let row = placement.row_of(GateId::from_index(i)).index();
-            let level = solution.assignment[row];
-            d * (1.0 - characterization.speedup_fraction(level))
-        })
-        .collect();
-    let tuned_dcrit = graph.analyze(&tuned).dcrit_ps();
+    let verdict = tuned_die.judge(&degraded, clock_ps, &solution.assignment);
     println!(
-        "tuned die: Dcrit = {tuned_dcrit:.1} ps — {}",
-        if tuned_dcrit <= clock_ps * 1.001 { "meets timing (rescued)" } else { "still violating" }
+        "tuned die: Dcrit = {:.1} ps — {}",
+        verdict.tuned_dcrit_ps,
+        if verdict.met() { "meets timing (rescued)" } else { "still violating" }
     );
     Ok(())
 }

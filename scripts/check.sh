@@ -30,10 +30,12 @@
 #     combining release-safe with fault-inject is a compile_error!
 #   - design-database lane: fbb compile -> solve/sta/difftest round trip on
 #     two Table 1 designs, byte-for-byte comparison against the golden
-#     fixtures in tests/golden/, and a corrupt-input smoke (a truncated
-#     .fbb must exit non-zero with a reason, never crash)
+#     fixtures in tests/golden/, `fbb sta` agreeing between a text netlist
+#     and its .fbb, and a corrupt-input smoke (a truncated .fbb must exit
+#     non-zero with a reason, never crash)
 #   - strict-parsing lane: each of the experiment binaries rejects an
-#     unknown flag with exit 1 within seconds (flags are read before work)
+#     unknown flag and an unknown design with exit 1 within seconds (flags
+#     are read before work)
 #   - serve lane: a real daemon on an ephemeral port, a 100-request
 #     bench-serve smoke (>=1 cache hit, warm p50 beating the cold CLI),
 #     and a graceful SIGTERM drain (exit 0 + "drained cleanly")
@@ -47,21 +49,25 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Strict-parsing lane: every experiment binary reads all of its flags before
 # doing any work, so an unknown flag must exit 1 at once (table1 would
-# otherwise run for about 25 minutes).
+# otherwise run for about 25 minutes), and so must a design outside Table 1
+# (a binary without --design rejects the flag itself).
 bench_bins=0
 for src in crates/bench/src/bin/*.rs; do
     bin=$(basename "$src" .rs)
-    set +e
-    timeout 10 "./target/release/$bin" --no-such-flag > /dev/null 2>&1
-    bin_code=$?
-    set -e
-    if [ "$bin_code" -ne 1 ]; then
-        echo "check.sh: $bin --no-such-flag exited $bin_code, expected 1" >&2
-        exit 1
-    fi
+    for bad_args in "--no-such-flag" "--design nosuch"; do
+        set +e
+        # shellcheck disable=SC2086  # split "--design nosuch" into two words
+        timeout 10 "./target/release/$bin" $bad_args > /dev/null 2>&1
+        bin_code=$?
+        set -e
+        if [ "$bin_code" -ne 1 ]; then
+            echo "check.sh: $bin $bad_args exited $bin_code, expected 1" >&2
+            exit 1
+        fi
+    done
     bench_bins=$((bench_bins + 1))
 done
-echo "strict-parsing lane: $bench_bins experiment binaries reject an unknown flag (exit 1)"
+echo "strict-parsing lane: $bench_bins experiment binaries reject an unknown flag and an unknown design (exit 1)"
 
 # Differential-testing gate: oracles vs engines, plus fault-injection suites.
 cargo test -q -p fbb-testkit
@@ -209,6 +215,21 @@ for design in c1355 c3540; do
     cargo run --release --quiet -- sta --netlist "$db_dir/$design.fbb" > /dev/null
     cargo run --release --quiet -- difftest --db "$db_dir/$design.fbb" > /dev/null
 done
+# One delay model: `fbb sta` on the text netlist and on the compiled
+# database of the same design must report the same Dcrit and the same
+# violating-path count.
+cargo run --release --quiet -- generate --design c1355 --out "$db_dir/c1355.nl" 2> /dev/null
+sta_lines() {
+    cargo run --release --quiet -- sta --netlist "$1" --beta 0.05 | grep -E '^Dcrit = |paths violate'
+}
+sta_text=$(sta_lines "$db_dir/c1355.nl")
+sta_db=$(sta_lines "$db_dir/c1355.fbb")
+if [ "$sta_text" != "$sta_db" ] || [ "$(echo "$sta_text" | wc -l)" -ne 2 ]; then
+    echo "check.sh: fbb sta disagrees between c1355.nl and c1355.fbb:" >&2
+    echo "$sta_text" >&2
+    echo "$sta_db" >&2
+    exit 1
+fi
 # Golden fixtures: the checked-in bytes must still decode and re-solve
 # (tests/db_golden.rs pins byte equality; here we pin the CLI reads them).
 for golden in tests/golden/*.fbb; do
@@ -226,7 +247,7 @@ if [ "$db_code" -eq 0 ] || [ "$db_code" -ge 101 ]; then
     echo "check.sh: truncated .fbb exited $db_code, expected a clean non-zero error" >&2
     exit 1
 fi
-echo "db lane: compile/solve round trips green, goldens decode, truncation rejected (exit $db_code)"
+echo "db lane: compile/solve round trips green, sta agrees on .nl and .fbb, goldens decode, truncation rejected (exit $db_code)"
 
 # Serve lane: run the actual release binary (not `cargo run`, so the signal
 # reaches the daemon itself), parse its ephemeral port, hammer it with a

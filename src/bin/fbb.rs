@@ -32,14 +32,15 @@
 //! * `4` — `difftest` found at least one engine/oracle mismatch;
 //! * `5` — `lint` found repo-invariant violations or model-audit errors.
 
+use std::io::Write as _;
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
 use fbb::core::{
-    check_timing, single_bb, FbbError, FbbProblem, Granularity, IlpAllocator, Preprocessed,
-    TwoPassHeuristic,
+    check_timing, nominal_delays, single_bb, FbbError, FbbProblem, Granularity, IlpAllocator,
+    Preprocessed, TunedDie, TwoPassHeuristic,
 };
 use fbb::bench::report::BenchReport;
 use fbb::bench::{ArgError, Args};
@@ -47,10 +48,11 @@ use fbb::db::{is_design_db, DesignDb};
 use fbb::device::{BiasLadder, BodyBiasModel, Characterization, Library};
 use fbb::lp::deadline::Stopwatch;
 use fbb::serve::{Client, ServeConfig, Server, SolveRequest};
-use fbb::netlist::{bench_fmt, fmt as nl_fmt, suite, GateId, Netlist};
+use fbb::netlist::suite::{self, PaperStats};
+use fbb::netlist::{bench_fmt, fmt as nl_fmt, Netlist};
 use fbb::placement::layout::{self, LayoutOptions};
 use fbb::placement::{Placement, Placer, PlacerOptions};
-use fbb::sta::{IncrementalSta, RowMap, TimingGraph};
+use fbb::sta::TimingGraph;
 use fbb::variation::{MonteCarloYield, ProcessVariation};
 
 /// CLI outcome classes, each with a stable exit code (see the module docs).
@@ -266,6 +268,9 @@ fn usage() -> &'static str {
      makes warm-vs-cold comparison timing-dependent. A sweep that\n\
      completes every cell exits 0 even if individual cells are\n\
      infeasible or budget-expired (per-cell status is in the output).\n\n\
+     `fbb solve` re-times each answer it prints (heuristic; ILP with --ilp)\n\
+     on the optimizer's die, one `verification:` line each: `met`, or\n\
+     `VIOLATED` and exit 1. `fbb sta` times that same die.\n\n\
      `fbb compile` runs generate -> place -> characterize -> STA -> path\n\
      extraction once and persists every artifact to a versioned binary\n\
      design database (docs/FORMAT.md). sta/solve/difftest accept the .fbb\n\
@@ -581,14 +586,13 @@ fn find_workspace_root() -> Result<PathBuf, CliError> {
 
 /// `fbb lint --models` — Layer-2 smoke over the paper suite.
 fn lint_models(mut args: Args) -> Result<(), CliError> {
-    let designs: Vec<String> = args
-        .list("--designs")?
-        .unwrap_or_else(|| suite::PAPER_TABLE1.iter().map(|s| s.name.to_owned()).collect());
+    let designs: Vec<PaperStats> =
+        args.list("--designs")?.unwrap_or_else(|| suite::PAPER_TABLE1.to_vec());
     let clusters = args.value("--clusters")?.unwrap_or(3);
     args.finish()?;
     let mut errors = 0usize;
     let mut warnings = 0usize;
-    for name in &designs {
+    for PaperStats { name, .. } in &designs {
         let design = fbb::bench::prepare_design(name);
         for beta in [0.05f64, 0.10] {
             let pre = design.preprocess(beta, clusters);
@@ -652,9 +656,9 @@ fn sta(mut args: Args) -> Result<(), CliError> {
     let path = path.ok_or("missing --netlist")?;
 
     // From a compiled database the report comes straight from the stored
-    // timing tables (the exact jittered STA input and its extracted paths);
-    // from a text netlist it is recomputed with unjittered library delays,
-    // matching the historical `fbb sta` behaviour.
+    // timing tables; from a text netlist it is recomputed. Either way the
+    // STA input is the optimizer's jittered nominal delays, so the report
+    // agrees with `solve` on the same design.
     let bytes = read_design_bytes(&path)?;
     let (stats, dcrit, mut paths) = if is_design_db(&bytes) {
         let db = DesignDb::decode_fast(&bytes)
@@ -665,9 +669,8 @@ fn sta(mut args: Args) -> Result<(), CliError> {
         let text = String::from_utf8(bytes).map_err(|_| format!("{path}: not a text netlist"))?;
         let nl = parse_netlist(&path, &text)?;
         let chara = date09_characterization(&Library::date09_45nm())?;
-        let delays: Vec<f64> = nl.gates().iter().map(|g| chara.delay_ps(g.cell, 0)).collect();
         let graph = TimingGraph::new(&nl).map_err(|e| e.to_string())?;
-        let analysis = graph.analyze(&delays);
+        let analysis = graph.analyze(&nominal_delays(&nl, &chara));
         (nl.stats(), analysis.dcrit_ps(), analysis.critical_path_set())
     };
     println!("{stats}");
@@ -675,7 +678,7 @@ fn sta(mut args: Args) -> Result<(), CliError> {
     paths.sort_by(|a, b| b.delay_ps.partial_cmp(&a.delay_ps).expect("finite"));
     println!("unique worst paths: {}", paths.len());
     if beta > 0.0 {
-        let violating = paths.iter().filter(|p| p.delay_ps * (1.0 + beta) > dcrit).count();
+        let violating = paths.iter().filter(|p| p.violates(beta, dcrit)).count();
         println!(
             "at beta = {:.1}%: {violating} paths violate (the allocator's constraint count)",
             beta * 100.0
@@ -763,8 +766,6 @@ fn solve(mut args: Args) -> Result<(), CliError> {
     // A compiled database skips straight to the LP: the pre-processed
     // problem is looked up by (granularity, β) and the cluster budget is
     // overridden — pre-processing never reads it, so the override is exact.
-    let problem =
-        FbbProblem::new(nl, placement, chara, beta, clusters).map_err(|e| e.to_string())?;
     let cached = design
         .db
         .as_ref()
@@ -781,7 +782,9 @@ fn solve(mut args: Args) -> Result<(), CliError> {
                     db.betas(Granularity::Row)
                 );
             }
-            problem.preprocess().map_err(|e| e.to_string())?
+            FbbProblem::new(nl, placement, chara, beta, clusters)
+                .and_then(|problem| problem.preprocess())
+                .map_err(|e| e.to_string())?
         }
     };
     println!(
@@ -810,7 +813,7 @@ fn solve(mut args: Args) -> Result<(), CliError> {
         sol.savings_vs(&baseline)
     );
 
-    if ilp {
+    let ilp = if ilp {
         let out = IlpAllocator::with_time_limit(ilp_limit)
             .solve(&pre)
             .map_err(classify_fbb_error)?;
@@ -836,18 +839,10 @@ fn solve(mut args: Args) -> Result<(), CliError> {
             ),
             (None, _) => println!("ilp       : no solution within the time limit"),
         }
-        if require_optimal && !out.proven_optimal {
-            return Err(CliError::BudgetExpired(format!(
-                "deadline: ILP budget ({}s) expired without an optimality proof (gap {})",
-                ilp_limit.as_secs_f64(),
-                if out.gap.is_finite() {
-                    format!("{:.2}%", out.gap * 100.0)
-                } else {
-                    "unbounded".to_owned()
-                }
-            )));
-        }
-    }
+        Some(out)
+    } else {
+        None
+    };
 
     print!("\nrow biases: ");
     for (row, &level) in sol.assignment.iter().enumerate() {
@@ -867,44 +862,37 @@ fn solve(mut args: Args) -> Result<(), CliError> {
     fbb::telemetry::record("cli_solution_leakage_nw", sol.leakage_nw);
     fbb::telemetry::record("cli_solution_savings_pct", sol.savings_vs(&baseline));
 
-    // Independent verification: apply the biases to the degraded die the
-    // optimizer saw (its jittered nominal delays, slowed by β) and re-time
-    // the whole die against Dcrit, strictly, with no margin. Seeding the
-    // incremental engine with the degraded delays and invalidating only the
-    // biased rows exercises the cone-limited re-timing path, which is
-    // bit-identical to a from-scratch analyze of the tuned delays.
-    let graph = TimingGraph::new(nl).map_err(|e| e.to_string())?;
-    let degraded: Vec<f64> = problem.nominal_delays().iter().map(|d| d * (1.0 + beta)).collect();
-    let row_of: Vec<usize> =
-        (0..nl.gate_count()).map(|i| placement.row_of(GateId::from_index(i)).index()).collect();
-    let mut inc = IncrementalSta::with_rows(&graph, &degraded, RowMap::new(&row_of));
-    let mut dirty_rows = Vec::new();
-    {
-        let delays = inc.delays_mut();
-        for (i, &base) in degraded.iter().enumerate() {
-            let tuned = base * (1.0 - chara.speedup_fraction(sol.assignment[row_of[i]]));
-            if tuned.to_bits() != delays[i].to_bits() {
-                delays[i] = tuned;
-                dirty_rows.push(row_of[i]);
-            }
+    // Independent verification: re-time every printed answer by full STA
+    // on the die the optimizer saw, strictly, with no margin.
+    let die = TunedDie::new(nl, placement, chara).map_err(|e| e.to_string())?;
+    let mut answers = vec![("heuristic", &sol.assignment)];
+    answers.extend(ilp.iter().flat_map(|out| &out.solution).map(|exact| ("ilp", &exact.assignment)));
+    let mut missed = Vec::new();
+    for (name, assignment) in answers {
+        let verdict = die.verify(beta, pre.dcrit_ps, assignment);
+        println!(
+            "verification: {name} answer re-timed to {:.1} ps vs target {:.1} ps ({})",
+            verdict.tuned_dcrit_ps,
+            verdict.target_ps,
+            if verdict.met() { "met" } else { "VIOLATED" }
+        );
+        if !verdict.met() {
+            missed.push(name);
         }
     }
-    dirty_rows.sort_unstable();
-    dirty_rows.dedup();
-    inc.invalidate_rows(&dirty_rows);
-    let tuned_dcrit = inc.retime();
-    let met = tuned_dcrit <= pre.dcrit_ps;
-    println!(
-        "verification: biased degraded Dcrit = {:.1} ps vs target {:.1} ps ({}; retimed {} nodes)",
-        tuned_dcrit,
-        pre.dcrit_ps,
-        if met { "met" } else { "VIOLATED" },
-        inc.last_retimed_nodes()
-    );
-    if !met {
-        return Err(CliError::Failure(format!(
-            "verification: the biased die's Dcrit {tuned_dcrit} ps exceeds the target {} ps",
-            pre.dcrit_ps
+    if !missed.is_empty() {
+        let missed = missed.join(", ");
+        return Err(format!("verification: answers missing Dcrit {} ps: {missed}", pre.dcrit_ps).into());
+    }
+    if let Some(out) = ilp.filter(|out| require_optimal && !out.proven_optimal) {
+        return Err(CliError::BudgetExpired(format!(
+            "deadline: ILP budget ({}s) expired without an optimality proof (gap {})",
+            ilp_limit.as_secs_f64(),
+            if out.gap.is_finite() {
+                format!("{:.2}%", out.gap * 100.0)
+            } else {
+                "unbounded".to_owned()
+            }
         )));
     }
 
@@ -912,9 +900,7 @@ fn solve(mut args: Args) -> Result<(), CliError> {
     // (32 dies) when telemetry is collected, opt-in via --mc otherwise.
     let mc_samples = mc_samples.unwrap_or(if fbb::telemetry::is_enabled() { 32 } else { 0 });
     if mc_samples > 0 {
-        let nominal: Vec<f64> =
-            nl.gates().iter().map(|g| chara.delay_ps(g.cell, 0)).collect();
-        let mc = MonteCarloYield::new(nl, placement, &nominal);
+        let mc = MonteCarloYield::new(nl, placement, die.nominal_delays());
         let est = mc
             .estimate(&ProcessVariation::slow_corner_45nm(), pre.dcrit_ps, mc_samples, 42)
             .map_err(|e| e.to_string())?;
@@ -952,7 +938,6 @@ fn serve(mut args: Args) -> Result<(), CliError> {
         server.local_addr(),
         config.resolved_workers()
     );
-    use std::io::Write as _;
     let _ = std::io::stdout().flush();
     server.run().map_err(|e| CliError::Failure(format!("serve: {e}")))?;
     eprintln!("fbb-serve: drained cleanly");
@@ -1006,16 +991,27 @@ fn sweep(mut args: Args) -> Result<(), CliError> {
         return Err("missing --design, --netlist, or --compose".into());
     }
 
-    println!(
+    // A failed write ends the run rather than panicking in println!: a
+    // reader that closed the pipe early (`fbb sweep | head -1`) quietly,
+    // with exit 0; any other failure with exit 1.
+    let emit = |line: String| match writeln!(std::io::stdout(), "{line}") {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            std::process::exit(1)
+        }
+    };
+    emit(format!(
         "sweeping {} cells over {} ({} rows, {} mode)",
         grid.cell_count(),
         netlist.name(),
         placement.row_count(),
         if options.cold { "cold" } else { "warm" }
-    );
-    println!("{:>6}  {:>4}  {:>4}  {:<10}  {:>14}  {:>7}  {:>10}", "beta", "C", "P", "status", "leakage_nw", "nodes", "ms");
+    ));
+    emit(format!("{:>6}  {:>4}  {:>4}  {:<10}  {:>14}  {:>7}  {:>10}", "beta", "C", "P", "status", "leakage_nw", "nodes", "ms"));
     let report = fbb::core::run_sweep(&netlist, &placement, &chara, &grid, &options, |cell| {
-        println!(
+        emit(format!(
             "{:>6.3}  {:>4}  {:>4}  {:<10}  {:>14.4}  {:>7}  {:>10.2}",
             cell.beta,
             cell.clusters,
@@ -1024,17 +1020,17 @@ fn sweep(mut args: Args) -> Result<(), CliError> {
             cell.leakage_nw,
             cell.nodes,
             cell.runtime.as_secs_f64() * 1e3,
-        );
+        ));
     })
     .map_err(classify_fbb_error)?;
-    println!(
+    emit(format!(
         "swept {} cells in {:.2} s: {} pre-processes, {} model builds, {} pruned",
         report.cells.len(),
         report.runtime.as_secs_f64(),
         report.preprocess_count,
         report.model_builds,
         report.pruned
-    );
+    ));
     if let Some(path) = report_path {
         write_sweep_report(&report, &path)?;
         eprintln!("report written to {path}");
@@ -1085,7 +1081,7 @@ fn bench_serve(mut args: Args) -> Result<(), CliError> {
     let connections = args.value("--connections")?.map_or(4, NonZeroUsize::get);
     let requests = args.value("--requests")?.map_or(64, NonZeroUsize::get);
     let path: Option<String> = args.value("--netlist")?;
-    let name = args.value("--design")?.unwrap_or_else(|| "c1355".to_owned());
+    let name = args.value("--design")?.map_or("c1355", |d: PaperStats| d.name);
     let addr: Option<String> = args.value("--addr")?;
     args.finish()?;
 
@@ -1101,7 +1097,7 @@ fn bench_serve(mut args: Args) -> Result<(), CliError> {
         }
         b
     } else {
-        let d = fbb::bench::prepare_design(&name);
+        let d = fbb::bench::prepare_design(name);
         DesignDb::build(
             &format!("bench-serve {name}"),
             &d.netlist,

@@ -27,8 +27,13 @@ fn text(bytes: &[u8]) -> String {
 
 /// A 48-bit ripple adder written to a per-test temp file.
 fn adder_netlist(tag: &str) -> PathBuf {
+    design_netlist("adder:48", tag)
+}
+
+/// The generated design `spec` written to a per-test temp file.
+fn design_netlist(spec: &str, tag: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("fbb_cli_status_{tag}_{}.nl", std::process::id()));
-    let out = fbb(&["generate", "--design", "adder:48", "--out", path.to_str().expect("utf8")]);
+    let out = fbb(&["generate", "--design", spec, "--out", path.to_str().expect("utf8")]);
     assert_eq!(code(&out), 0, "generate failed: {}", text(&out.stderr));
     path
 }
@@ -254,6 +259,74 @@ fn solve_verifies_on_the_optimizers_die_strictly() {
     let stdout = text(&out.stdout);
     assert_eq!(code(&out), 0, "stderr: {}", text(&out.stderr));
     let line = stdout.lines().find(|l| l.starts_with("verification:")).expect("verification line");
-    assert!(line.contains("(met; retimed"), "line: {line}");
+    assert!(line.contains("(met)"), "line: {line}");
     let _ = std::fs::remove_file(nl);
+}
+
+#[test]
+fn solve_verifies_the_ilp_answer_and_exits_1_on_a_miss() {
+    // The proven-optimal ILP answer certifies only the pruned path set Π;
+    // on this die full STA shows it misses Dcrit, while the heuristic
+    // answer meets it.
+    let nl = design_netlist("adder_128bits", "ilp_miss");
+    let out = fbb(&[
+        "solve",
+        "--netlist",
+        nl.to_str().expect("utf8"),
+        "--beta",
+        "0.05",
+        "--clusters",
+        "2",
+        "--ilp",
+    ]);
+    let stdout = text(&out.stdout);
+    let _ = std::fs::remove_file(nl);
+    assert_eq!(code(&out), 1, "stdout: {stdout}");
+    assert!(stdout.contains("optimal (proven)"), "stdout: {stdout}");
+    let verdict = |answer: &str| {
+        stdout
+            .lines()
+            .find(|l| l.starts_with(&format!("verification: {answer} answer")))
+            .unwrap_or_else(|| panic!("no verification line for {answer}: {stdout}"))
+            .to_owned()
+    };
+    assert!(verdict("heuristic").ends_with("(met)"), "stdout: {stdout}");
+    assert!(verdict("ilp").ends_with("(VIOLATED)"), "stdout: {stdout}");
+    assert!(text(&out.stderr).contains("missing Dcrit"), "stderr: {}", text(&out.stderr));
+}
+
+#[test]
+fn sta_and_solve_agree_on_a_text_netlist() {
+    let nl = design_netlist("c1355", "sta_agree");
+    let path = nl.to_str().expect("utf8");
+    let sta = fbb(&["sta", "--netlist", path, "--beta", "0.05"]);
+    let solve = fbb(&["solve", "--netlist", path, "--beta", "0.05"]);
+    let _ = std::fs::remove_file(&nl);
+    assert_eq!(code(&sta), 0, "stderr: {}", text(&sta.stderr));
+    assert_eq!(code(&solve), 0, "stderr: {}", text(&solve.stderr));
+    let (sta, solve) = (text(&sta.stdout), text(&solve.stdout));
+    let field = |out: &str, prefix: &str, suffix: &str| -> String {
+        let line = out.lines().find(|l| l.contains(prefix)).unwrap_or_else(|| panic!("{prefix}: {out}"));
+        let rest = &line[line.find(prefix).expect("found") + prefix.len()..];
+        rest[..rest.find(suffix).unwrap_or_else(|| panic!("{suffix}: {line}"))].to_owned()
+    };
+    assert_eq!(field(&sta, "Dcrit = ", " ps"), field(&solve, "Dcrit = ", " ps"));
+    assert_eq!(field(&sta, "5.0%: ", " paths violate"), field(&solve, "ps, beta = 5.0%, ", " constraints"));
+}
+
+#[test]
+fn unknown_table1_design_exits_1_naming_it() {
+    for (args, design) in [
+        (&["lint", "--models", "--designs", "foo"][..], "foo"),
+        (&["lint", "--models", "--designs", "c1355,nosuch"][..], "nosuch"),
+        (&["bench-serve", "--design", "adder:16"][..], "adder:16"),
+    ] {
+        let out = fbb(args);
+        let stderr = text(&out.stderr);
+        assert_eq!(code(&out), 1, "args {args:?}: stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("{design} is not a Table 1 design")),
+            "args {args:?}: stderr: {stderr}"
+        );
+    }
 }

@@ -2,11 +2,10 @@
 //! through placement, preprocessing, and all three allocators, with an
 //! independent STA verification of the produced solutions.
 
-use fbb::core::{single_bb, FbbProblem, IlpAllocator, TwoPassHeuristic};
+use fbb::core::{single_bb, FbbProblem, IlpAllocator, TunedDie, TwoPassHeuristic};
 use fbb::device::{BiasLadder, BodyBiasModel, Characterization, Library};
-use fbb::netlist::{generators, GateId, Netlist};
+use fbb::netlist::{generators, Netlist};
 use fbb::placement::{Placement, Placer, PlacerOptions};
-use fbb::sta::TimingGraph;
 
 fn setup(gates: &str) -> (Netlist, Placement, Characterization) {
     let nl = match gates {
@@ -56,8 +55,9 @@ fn all_allocators_agree_on_feasibility_and_ordering() {
 }
 
 /// The constraint set Π is a heuristic (longest path through each cell); an
-/// independent full STA over the biased, degraded design must confirm the
-/// compensation within a small approximation margin.
+/// independent full STA of the die the optimizer saw, slowed by β and sped
+/// up by the heuristic's row biases, must confirm the compensation with no
+/// margin.
 #[test]
 fn solutions_hold_up_under_independent_sta() {
     let (nl, placement, chara) = setup("alu");
@@ -66,26 +66,9 @@ fn solutions_hold_up_under_independent_sta() {
     let pre = problem.preprocess().expect("acyclic");
     let sol = TwoPassHeuristic::default().solve(&pre).expect("feasible");
 
-    // Re-time the die the optimizer saw: the same (jittered) nominal
-    // delays pre-processing analyzed, slowed by β and sped up by the
-    // heuristic's row biases.
-    let graph = TimingGraph::new(&nl).expect("acyclic");
-    let nominal = problem.nominal_delays();
-    let dcrit = graph.analyze(&nominal).dcrit_ps();
-    assert_eq!(dcrit.to_bits(), pre.dcrit_ps.to_bits(), "STA and pre-processing disagree on Dcrit");
-    let tuned: Vec<f64> = nominal
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| {
-            let row = placement.row_of(GateId::from_index(i)).index();
-            d * (1.0 + beta) * (1.0 - chara.speedup_fraction(sol.assignment[row]))
-        })
-        .collect();
-    let tuned_dcrit = graph.analyze(&tuned).dcrit_ps();
-    assert!(
-        tuned_dcrit <= dcrit,
-        "independent STA shows {tuned_dcrit:.2} ps vs Dcrit {dcrit:.2} ps"
-    );
+    let die = TunedDie::new(&nl, &placement, &chara).expect("placed");
+    let verdict = die.verify(beta, pre.dcrit_ps, &sol.assignment);
+    assert!(verdict.met(), "independent STA shows {verdict:?}");
 }
 
 /// An uncompensable slowdown must not just fail — the error must say *which*
